@@ -5,8 +5,9 @@
 # integrity + mvcc + serving + loadgen + cluster, which emit
 # BENCH_PR2.json .. BENCH_PR10.json into a temp dir — the committed trajectory records in
 # the repo tree are never touched), then the long fixed-seed
-# crash-torture, replication fault and bit-rot sweeps.  Equivalent to
-# `dune build @ci` plus the bench smoke.  Pass `smoke` to skip the
+# crash-torture, replication fault and bit-rot sweeps.  Smoke and full
+# both end the bench smoke with a short perfbench `fleet` run.
+# Equivalent to `dune build @ci` plus the bench smoke.  Pass `smoke` to skip the
 # long sweeps.
 #
 # Set BENCH_OUT to keep the emitted bench records (CI uploads them as
@@ -120,6 +121,17 @@ check_bench_json "$BENCH_OUT/BENCH_PR10.json" \
   replica_scaling lagging_replica failover qps_1_replica qps_4_replicas \
   scaling_4_vs_1 lagging_p99_ms failover_ms acked_writes_lost \
   rywr_violations replica_promoted cores workloads acceptance
+
+# fleet smoke: the repo benchmark's fleet workload (primary + promotable
+# replica + router as real pdb processes) runs router <-> backend frames
+# and feed shipping end to end and ends with a byte-identity check; its
+# last line is a JSON verdict that must be correct with zero failed ops
+fleet_verdict="$(python3 perfbench/run.py --workload fleet --seed 1 --seconds 3 | tail -n 1)"
+printf '%s\n' "$fleet_verdict" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+  || fail "perfbench fleet smoke failed: $fleet_verdict"
 
 # the bench smoke must leave the committed trajectory records untouched
 [ "$(records_digest)" = "$digest_before" ] \

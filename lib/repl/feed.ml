@@ -391,9 +391,7 @@ let handle_conn t (link : Link.t) ~(running : bool ref) =
                   (fun r ->
                     let f = Wire.Delta { lsn = r.r_lsn; pages = r.r_pages } in
                     let s = Wire.encode f in
-                    Link.really_send link
-                      (Bytes.unsafe_of_string s)
-                      ~off:0 ~len:(String.length s);
+                    Link.send_string link s;
                     Pobs.Metrics.inc m_shipped_records;
                     Pobs.Metrics.addi m_shipped_bytes (String.length s);
                     conn.sent_lsn <- r.r_lsn)

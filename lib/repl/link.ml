@@ -1,6 +1,8 @@
-(** Byte-stream seam between primary and replica.
+(** Byte-stream seam for the blocking ends of the binary protocols:
+    both ends of replication, and the client side of the POOL protocol
+    ([Pserver.Client], which the router's backend pool runs on).
 
-    Replication traffic flows through a {!t} — a record of closures over
+    Traffic flows through a {!t} — a record of closures over
     send/recv/poll/close — in the same spirit as {!Pstore.Vfs}: the real
     implementation wraps a TCP socket, and tests substitute in-memory
     links that tear frames, cut the connection after N bytes, or replay
@@ -42,6 +44,9 @@ let really_send (l : t) buf ~off ~len =
     if n <= 0 then down "send made no progress";
     pos := !pos + n
   done
+
+let send_string (l : t) s =
+  really_send l (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
 (** Read exactly [len] bytes; {!Link_down} if the peer closes mid-way.
     A clean close *before the first byte* also raises — framing above us

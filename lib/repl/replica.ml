@@ -279,9 +279,6 @@ end
 (* Client session: connect, handshake, apply, ack, reconnect           *)
 (* ------------------------------------------------------------------ *)
 
-let backoff_initial = 0.05
-let backoff_cap = 2.0
-
 (* How long a repair waits for the primary's [PageData] before giving
    up on this connection (the reconnect path retries from scratch). *)
 let fetch_timeout_s = 10.
@@ -427,7 +424,7 @@ let run_once (s : session) =
 
 (** Start the replication client: a background thread that follows
     [host:port] and keeps the file at [path] in sync, reconnecting with
-    capped exponential backoff (50 ms doubling to 2 s) and resuming from
+    the {!Backoff.reconnect} policy (50 ms doubling to 2 s) and resuming from
     the file's last durable LSN.  [scrub_every_s] turns on an in-session
     background scrub: every that many seconds the file's checksums are
     walked and corrupt pages repaired from the primary. *)
@@ -455,7 +452,7 @@ let start ?(vfs = Vfs.unix) ?scrub_every_s ~host ~port path : session =
   let th =
     Thread.create
       (fun () ->
-        let delay = ref backoff_initial in
+        let backoff = Backoff.reconnect () in
         while !(s.running) do
           s.made_progress <- false;
           (match run_once s with
@@ -468,12 +465,11 @@ let start ?(vfs = Vfs.unix) ?scrub_every_s ~host ~port path : session =
           (* a run that reached the stream resets the backoff — keyed on
              the flag, not on [last_error], which the failure that ended
              the run has already overwritten *)
-          if s.made_progress then delay := backoff_initial;
+          if s.made_progress then Backoff.reset backoff;
           if !(s.running) then begin
             s.reconnects <- s.reconnects + 1;
             Pobs.Metrics.inc m_reconnects;
-            Thread.delay !delay;
-            delay := min (!delay *. 2.) backoff_cap
+            Thread.delay (Backoff.next backoff)
           end
         done)
       ()

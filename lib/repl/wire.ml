@@ -1,12 +1,5 @@
-(** The replication wire protocol: length-prefixed, CRC-protected frames.
-
-    {v
-      off 0 : u32  magic "PDRL"
-      off 4 : u8   frame type
-      off 5 : u32  payload length
-      off 9 : payload bytes
-      then  : u32  CRC-32 of the payload
-    v}
+(** The replication wire protocol: {!Envelope} frames under magic
+    "PDRL", with payloads of up to 1 GiB (a whole-file snapshot).
 
     Payloads (all little-endian, via {!Pstore.Codec}):
 
@@ -31,18 +24,17 @@
       LSN (the refusal that sends the replica to re-bootstrap).
 
     Anything malformed — bad magic, unknown type, oversized payload,
-    CRC mismatch, or a mid-frame EOF — raises {!Wire_error}; the
-    connection is abandoned and the replica's reconnect/resume protocol
-    recovers, so a torn frame can never be half-applied. *)
+    CRC mismatch, trailing bytes — raises {!Wire_error}, and a mid-frame
+    EOF {!Link.Link_down}; the connection is abandoned and the replica's
+    reconnect/resume protocol recovers, so a torn frame can never be
+    half-applied. *)
 
 open Pstore
 
-exception Wire_error of string
-
-let err fmt = Format.kasprintf (fun s -> raise (Wire_error s)) fmt
+exception Wire_error = Envelope.Bad_frame
 
 let magic = 0x5044524C (* "PDRL" *)
-let header_size = 9
+let header_size = Envelope.header_size
 
 (** Upper bound on a payload: a snapshot of a ~1 GiB database file.
     Anything larger is treated as a corrupt length field. *)
@@ -64,6 +56,19 @@ let type_byte = function
   | PageFetch _ -> 5
   | PageData _ -> 6
 
+(* Page images, each exactly one page long: anything else is a bug in
+   the sender. *)
+let enc_pages e what pages =
+  Codec.Enc.u32 e (List.length pages);
+  List.iter
+    (fun (no, data) ->
+      if String.length data <> Pager.page_size then
+        Envelope.bad "%s page %d has %d bytes (want %d)" what no
+          (String.length data) Pager.page_size;
+      Codec.Enc.int e no;
+      Codec.Enc.raw e data)
+    pages
+
 let encode_payload (f : frame) : string =
   let e = Codec.Enc.create () in
   (match f with
@@ -76,15 +81,7 @@ let encode_payload (f : frame) : string =
       Codec.Enc.string e data
   | Delta { lsn; pages } ->
       Codec.Enc.int e lsn;
-      Codec.Enc.u32 e (List.length pages);
-      List.iter
-        (fun (no, data) ->
-          if String.length data <> Pager.page_size then
-            err "delta page %d has %d bytes (want %d)" no (String.length data)
-              Pager.page_size;
-          Codec.Enc.int e no;
-          Codec.Enc.raw e data)
-        pages
+      enc_pages e "delta" pages
   | Ack { lsn } -> Codec.Enc.int e lsn
   | PageFetch { lsn; pages } ->
       Codec.Enc.int e lsn;
@@ -92,103 +89,46 @@ let encode_payload (f : frame) : string =
       List.iter (fun no -> Codec.Enc.int e no) pages
   | PageData { lsn; pages } ->
       Codec.Enc.int e lsn;
-      Codec.Enc.u32 e (List.length pages);
-      List.iter
-        (fun (no, data) ->
-          if String.length data <> Pager.page_size then
-            err "page-data page %d has %d bytes (want %d)" no
-              (String.length data) Pager.page_size;
-          Codec.Enc.int e no;
-          Codec.Enc.raw e data)
-        pages);
+      enc_pages e "page-data" pages);
   Codec.Enc.to_string e
 
-let decode_payload ty (payload : string) : frame =
-  let d = Codec.Dec.of_string payload in
-  try
-    let f =
-      match ty with
-      | 1 ->
-          let stream_id = Codec.Dec.int d in
-          let last_lsn = Codec.Dec.int d in
-          Hello { stream_id; last_lsn }
-      | 2 ->
-          let stream_id = Codec.Dec.int d in
-          let lsn = Codec.Dec.int d in
-          let data = Codec.Dec.string d in
-          Snapshot { stream_id; lsn; data }
-      | 3 ->
-          let lsn = Codec.Dec.int d in
-          let n = Codec.Dec.u32 d in
-          let pages =
-            List.init n (fun _ ->
-                let no = Codec.Dec.int d in
-                Codec.Dec.need d Pager.page_size;
-                let data = String.sub payload d.Codec.Dec.pos Pager.page_size in
-                d.Codec.Dec.pos <- d.Codec.Dec.pos + Pager.page_size;
-                (no, data))
-          in
-          Delta { lsn; pages }
-      | 4 -> Ack { lsn = Codec.Dec.int d }
-      | 5 ->
-          let lsn = Codec.Dec.int d in
-          let n = Codec.Dec.u32 d in
-          let pages = List.init n (fun _ -> Codec.Dec.int d) in
-          PageFetch { lsn; pages }
-      | 6 ->
-          let lsn = Codec.Dec.int d in
-          let n = Codec.Dec.u32 d in
-          let pages =
-            List.init n (fun _ ->
-                let no = Codec.Dec.int d in
-                Codec.Dec.need d Pager.page_size;
-                let data = String.sub payload d.Codec.Dec.pos Pager.page_size in
-                d.Codec.Dec.pos <- d.Codec.Dec.pos + Pager.page_size;
-                (no, data))
-          in
-          PageData { lsn; pages }
-      | ty -> err "unknown frame type %d" ty
-    in
-    if Codec.Dec.remaining d <> 0 then err "trailing bytes in frame payload";
-    f
-  with Codec.Corrupt m -> err "corrupt payload: %s" m
+(* The [n] page images of a [Delta]/[PageData] payload. *)
+let dec_pages d n =
+  List.init n (fun _ ->
+      let no = Codec.Dec.int d in
+      Codec.Dec.need d Pager.page_size;
+      let data = String.sub d.Codec.Dec.src d.Codec.Dec.pos Pager.page_size in
+      d.Codec.Dec.pos <- d.Codec.Dec.pos + Pager.page_size;
+      (no, data))
 
-(** The complete on-wire encoding of a frame.  A payload over
-    {!max_payload} (a snapshot of a > 1 GiB database) raises here, on
-    the {e sender}: the receiver would reject the length field anyway,
-    and failing at the source is the only place the error is visible. *)
+let decode_payload ty (d : Codec.Dec.t) : frame =
+  match ty with
+  | 1 ->
+      let stream_id = Codec.Dec.int d in
+      let last_lsn = Codec.Dec.int d in
+      Hello { stream_id; last_lsn }
+  | 2 ->
+      let stream_id = Codec.Dec.int d in
+      let lsn = Codec.Dec.int d in
+      let data = Codec.Dec.string d in
+      Snapshot { stream_id; lsn; data }
+  | 3 ->
+      let lsn = Codec.Dec.int d in
+      Delta { lsn; pages = dec_pages d (Codec.Dec.u32 d) }
+  | 4 -> Ack { lsn = Codec.Dec.int d }
+  | 5 ->
+      let lsn = Codec.Dec.int d in
+      let n = Codec.Dec.u32 d in
+      PageFetch { lsn; pages = List.init n (fun _ -> Codec.Dec.int d) }
+  | 6 ->
+      let lsn = Codec.Dec.int d in
+      PageData { lsn; pages = dec_pages d (Codec.Dec.u32 d) }
+  | ty -> Envelope.unknown_tag ty
+
 let encode (f : frame) : string =
-  let payload = encode_payload f in
-  if String.length payload > max_payload then
-    err "frame payload of %d bytes exceeds the %d-byte limit"
-      (String.length payload) max_payload;
-  let e = Codec.Enc.create ~size:(header_size + String.length payload + 4) () in
-  Codec.Enc.u32 e magic;
-  Codec.Enc.u8 e (type_byte f);
-  Codec.Enc.u32 e (String.length payload);
-  Codec.Enc.raw e payload;
-  Codec.Enc.u32 e (Int32.to_int (Codec.Crc32.digest payload) land 0xffffffff);
-  Codec.Enc.to_string e
+  Envelope.encode ~magic ~max_payload ~tag:(type_byte f) (encode_payload f)
 
-let to_link (l : Link.t) (f : frame) : unit =
-  let s = encode f in
-  Link.really_send l (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
+let to_link (l : Link.t) (f : frame) : unit = Link.send_string l (encode f)
 
-(** Read one frame off the link.  Mid-frame EOF surfaces as
-    {!Link.Link_down} (the transport died); structural damage — the
-    bytes arrived but are not a frame — as {!Wire_error}. *)
 let from_link (l : Link.t) : frame =
-  let hdr = Bytes.create header_size in
-  Link.really_recv l hdr ~off:0 ~len:header_size;
-  let m = Int32.to_int (Bytes.get_int32_le hdr 0) land 0xffffffff in
-  if m <> magic then err "bad frame magic 0x%08x" m;
-  let ty = Bytes.get_uint8 hdr 4 in
-  let len = Int32.to_int (Bytes.get_int32_le hdr 5) land 0xffffffff in
-  if len > max_payload then err "frame payload of %d bytes exceeds limit" len;
-  let body = Bytes.create (len + 4) in
-  Link.really_recv l body ~off:0 ~len:(len + 4);
-  let payload = Bytes.sub_string body 0 len in
-  let crc = Int32.to_int (Bytes.get_int32_le body len) land 0xffffffff in
-  if Int32.to_int (Codec.Crc32.digest payload) land 0xffffffff <> crc then
-    err "frame CRC mismatch";
-  decode_payload ty payload
+  Envelope.read ~magic ~max_payload ~decode:decode_payload l

@@ -11,18 +11,15 @@
 
     Failure discipline: any transport error, framing damage or request
     timeout kills the whole channel — every in-flight request on it
-    fails with {!Client.Backend_down}, the connection is closed, and
-    the channel enters capped exponential backoff (50 ms doubling to
-    2 s).  While in backoff the channel {e fails fast} instead of
-    re-dialing a dead host on every request; health probes pass
-    [~force:true] to bypass the gate, so probe cadence — not request
-    traffic — decides when a recovered backend is re-admitted. *)
+    fails with {!Client.Backend_down}, the connection is shut down, and
+    the channel enters the {!Prepl.Backoff.reconnect} backoff (50 ms
+    doubling to 2 s).  While in backoff the channel {e fails fast}
+    instead of re-dialing a dead host on every request; health probes
+    pass [~force:true] to bypass the gate, so probe cadence — not
+    request traffic — decides when a recovered backend is re-admitted. *)
 
-let backoff_initial = 0.05
-let backoff_cap = 2.0
-
-(* The reader's poll tick: SO_RCVTIMEO on the connection, so an idle
-   reader wakes this often to expire stale requests and notice close. *)
+(* The reader's idle tick: how often a reader with nothing to read
+   wakes to expire stale requests and notice close. *)
 let reader_tick_s = 0.25
 
 type slot = {
@@ -37,8 +34,9 @@ type chan = {
   mutable c_conn : Client.t option;
   c_pending : (int, slot) Hashtbl.t;
   mutable c_outstanding : int;
+  mutable c_retired : Client.t list; (* shut down; the reader closes them *)
   mutable c_next_try : float; (* earliest re-dial when down *)
-  mutable c_delay : float; (* current backoff step *)
+  c_backoff : Prepl.Backoff.t;
   mutable c_closed : bool;
   mutable c_reader : Thread.t option;
 }
@@ -64,74 +62,83 @@ let frame_id = function
       id
   | Binary_proto.Batch _ -> -1
 
-(* Kill the channel: fail every in-flight request, close the
-   connection, arm the backoff.  Caller holds [cm]. *)
+(* Kill the channel: fail every in-flight request, shut the connection
+   down, arm the backoff.  Shutdown rather than close: the reader may
+   be blocked on the connection, and a close from here would let the
+   descriptor number be reused under it — the reader closes retired
+   connections itself, between reads.  Caller holds [cm]. *)
 let fail_channel_locked (ch : chan) (msg : string) =
-  (match ch.c_conn with Some c -> Client.close c | None -> ());
+  (match ch.c_conn with
+  | Some c ->
+      Client.shutdown c;
+      ch.c_retired <- c :: ch.c_retired
+  | None -> ());
   ch.c_conn <- None;
   Hashtbl.iter (fun _ s -> s.s_fail <- Some msg) ch.c_pending;
   Hashtbl.reset ch.c_pending;
   ch.c_outstanding <- 0;
-  ch.c_next_try <- Unix.gettimeofday () +. ch.c_delay;
-  ch.c_delay <- Float.min backoff_cap (ch.c_delay *. 2.);
+  ch.c_next_try <- Unix.gettimeofday () +. Prepl.Backoff.next ch.c_backoff;
   Condition.broadcast ch.cv
 
 (* Dedicated per-channel reader: dispatch answers by id; on transport
-   death or a stale request, kill the channel.  Exits when the pool
+   death or a stale request, kill the channel.  Only this thread closes
+   connections (retired ones, between reads).  Exits when the pool
    closes. *)
 let reader_loop (t : t) (ch : chan) =
+  let current conn = match ch.c_conn with Some c -> c == conn | None -> false in
+  (* Serve [conn] until it is no longer the channel's connection. *)
+  let rec serve conn =
+    let event =
+      match
+        if Client.poll ~timeout_s:reader_tick_s conn then `Frame (Client.recv_frame conn)
+        else `Idle
+      with
+      | ev -> ev
+      | exception Client.Backend_down m -> `Dead m
+      | exception Client.Protocol_error m -> `Dead ("protocol: " ^ m)
+      | exception e -> `Dead (Printexc.to_string e)
+    in
+    Mutex.lock ch.cm;
+    (if current conn then
+       match event with
+       | `Frame f -> (
+           match Hashtbl.find_opt ch.c_pending (frame_id f) with
+           | Some s ->
+               s.s_reply <- Some f;
+               Hashtbl.remove ch.c_pending (frame_id f);
+               ch.c_outstanding <- ch.c_outstanding - 1;
+               Condition.broadcast ch.cv
+           | None -> () (* answer to nothing we sent: ignore *))
+       | `Idle ->
+           (* expire requests past the deadline — a timed-out request
+              poisons the channel, because its answer may still arrive
+              and must not be matched to a recycled id on a fresh
+              exchange *)
+           let now = Unix.gettimeofday () in
+           if Hashtbl.fold (fun _ s acc -> acc || now -. s.s_at > t.timeout_s) ch.c_pending false
+           then fail_channel_locked ch "request timed out"
+       | `Dead m -> fail_channel_locked ch m);
+    let again = current conn in
+    Mutex.unlock ch.cm;
+    if again then serve conn
+  in
   let rec go () =
     Mutex.lock ch.cm;
-    while ch.c_conn = None && not ch.c_closed do
-      Condition.wait ch.cv ch.cm
-    done;
-    if ch.c_closed then Mutex.unlock ch.cm
-    else begin
-      let conn = Option.get ch.c_conn in
-      Mutex.unlock ch.cm;
-      (match Client.recv_frame conn with
-      | f ->
-          Mutex.lock ch.cm;
-          (* [==] on the payload: a fresh [Some] box would never be
-             physically equal *)
-          (if (match ch.c_conn with Some c -> c == conn | None -> false) then
-             match Hashtbl.find_opt ch.c_pending (frame_id f) with
-             | Some s ->
-                 s.s_reply <- Some f;
-                 Hashtbl.remove ch.c_pending (frame_id f);
-                 ch.c_outstanding <- ch.c_outstanding - 1;
-                 Condition.broadcast ch.cv
-             | None -> () (* answer to nothing we sent: ignore *));
-          Mutex.unlock ch.cm
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-          (* receive-timeout tick: expire requests past the deadline —
-             a timed-out request poisons the channel, because its
-             answer may still arrive and must not be matched to a
-             recycled id on a fresh exchange *)
-          let now = Unix.gettimeofday () in
-          Mutex.lock ch.cm;
-          (if (match ch.c_conn with Some c -> c == conn | None -> false) then
-             let stale =
-               Hashtbl.fold
-                 (fun _ s acc -> acc || now -. s.s_at > t.timeout_s)
-                 ch.c_pending false
-             in
-             if stale then fail_channel_locked ch "request timed out");
-          Mutex.unlock ch.cm
-      | exception e ->
-          let msg =
-            match e with
-            | Client.Backend_down m -> m
-            | Client.Protocol_error m -> "protocol: " ^ m
-            | e -> Printexc.to_string e
-          in
-          Mutex.lock ch.cm;
-          if (match ch.c_conn with Some c -> c == conn | None -> false) then
-            fail_channel_locked ch msg;
-          Mutex.unlock ch.cm);
-      go ()
-    end
+    let rec await () =
+      List.iter Client.close ch.c_retired;
+      ch.c_retired <- [];
+      if ch.c_conn = None && not ch.c_closed then begin
+        Condition.wait ch.cv ch.cm;
+        await ()
+      end
+    in
+    await ();
+    match ch.c_conn with
+    | Some conn when not ch.c_closed ->
+        Mutex.unlock ch.cm;
+        serve conn;
+        go ()
+    | _ -> Mutex.unlock ch.cm
   in
   go ()
 
@@ -143,8 +150,9 @@ let create ?(channels = 2) ?(timeout_s = 10.) ~host ~port () : t =
       c_conn = None;
       c_pending = Hashtbl.create 16;
       c_outstanding = 0;
+      c_retired = [];
       c_next_try = 0.;
-      c_delay = backoff_initial;
+      c_backoff = Prepl.Backoff.reconnect ();
       c_closed = false;
       c_reader = None;
     }
@@ -177,15 +185,12 @@ let ensure_conn_locked (t : t) (ch : chan) ~force =
              (Printf.sprintf "%s:%d down (in backoff)" t.host t.port));
       (match Client.connect ~host:t.host ~port:t.port () with
       | conn ->
-          (try Unix.setsockopt_float (Client.fd conn) Unix.SO_RCVTIMEO reader_tick_s
-           with Unix.Unix_error _ | Invalid_argument _ -> ());
           ch.c_conn <- Some conn;
-          ch.c_delay <- backoff_initial;
+          Prepl.Backoff.reset ch.c_backoff;
           Condition.broadcast ch.cv (* wake the reader *)
-      | exception Client.Backend_down m ->
-          ch.c_next_try <- Unix.gettimeofday () +. ch.c_delay;
-          ch.c_delay <- Float.min backoff_cap (ch.c_delay *. 2.);
-          raise (Client.Backend_down m))
+      | exception (Client.Backend_down _ as e) ->
+          ch.c_next_try <- Unix.gettimeofday () +. Prepl.Backoff.next ch.c_backoff;
+          raise e)
 
 (* Least-outstanding channel, preferring live connections. *)
 let pick (t : t) : chan =

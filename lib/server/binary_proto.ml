@@ -1,20 +1,9 @@
-(** Compact binary wire protocol for POOL queries.
-
-    Same envelope discipline as the replication link ([Prepl.Wire]):
-
-    {v
-      off 0 : u32  magic "PDBQ"
-      off 4 : u8   frame type
-      off 5 : u32  payload length
-      off 9 : payload bytes
-      then  : u32  CRC-32 of the payload
-    v}
-
-    The magic is distinct from the replication magic ("PDRL") so a
-    client pointed at the wrong port fails loudly instead of decoding
-    garbage.  Payloads are capped at 1 MiB — a query text or printed
-    result beyond that is a protocol violation, not a bigger
-    allocation.
+(** Compact binary wire protocol for POOL queries: {!Prepl.Envelope}
+    frames under magic "PDBQ", with payloads of at most 1 MiB — a query
+    text or printed result beyond that is a protocol violation, not a
+    bigger allocation.  The magic differs from the replication magic
+    ("PDRL"), so a client pointed at the wrong port fails loudly instead
+    of decoding garbage.
 
     Frames:
     - [Query {id; q}] — one POOL query; [id] is an opaque client token
@@ -42,12 +31,17 @@
     - [Ctl {id; verb; arg}] — a control verb ("promote", "demote",
       "follow") used during failover; answered with [Result]/[Error]. *)
 
+module Envelope = Prepl.Envelope
+
 let magic = 0x50444251 (* "PDBQ" *)
-let header_size = 9 (* magic u32 + type u8 + length u32 *)
+let header_size = Envelope.header_size
 let max_payload = 1 lsl 20
 let max_batch = 4096
-
 let max_headers = 64
+
+(** Framing or payload damage; raised by {!encode} for an oversized
+    payload. *)
+exception Malformed = Envelope.Bad_frame
 
 type frame =
   | Query of { id : int; q : string }
@@ -87,6 +81,15 @@ let tag = function
   | Pong _ -> 8
   | Ctl _ -> 9
 
+let enc_headers e headers =
+  let open Pstore.Codec in
+  Enc.u32 e (List.length headers);
+  List.iter
+    (fun (k, v) ->
+      Enc.string e k;
+      Enc.string e v)
+    headers
+
 let encode_payload (f : frame) : string =
   let open Pstore.Codec in
   let e = Enc.create () in
@@ -111,21 +114,11 @@ let encode_payload (f : frame) : string =
       Enc.int e id;
       Enc.string e meth;
       Enc.string e target;
-      Enc.u32 e (List.length headers);
-      List.iter
-        (fun (k, v) ->
-          Enc.string e k;
-          Enc.string e v)
-        headers
+      enc_headers e headers
   | Hresp { id; status; headers; body } ->
       Enc.int e id;
       Enc.u32 e status;
-      Enc.u32 e (List.length headers);
-      List.iter
-        (fun (k, v) ->
-          Enc.string e k;
-          Enc.string e v)
-        headers;
+      enc_headers e headers;
       Enc.string e body
   | Ping { id } -> Enc.int e id
   | Pong { id; role; lsn; stream_id; repl_port } ->
@@ -140,126 +133,66 @@ let encode_payload (f : frame) : string =
       Enc.string e arg);
   Enc.to_string e
 
-exception Malformed of string
-
-let decode_payload (ty : int) (payload : string) : frame =
+let dec_headers d what =
   let open Pstore.Codec in
-  let d = Dec.of_string payload in
-  try
-    let f =
-      match ty with
-      | 1 ->
-          let id = Dec.int d in
-          Query { id; q = Dec.string d }
-      | 2 ->
-          let id = Dec.int d in
-          Result { id; v = Dec.string d }
-      | 3 ->
-          let id = Dec.int d in
-          Error { id; msg = Dec.string d }
-      | 4 ->
-          let n = Dec.u32 d in
-          if n > max_batch then
-            raise (Malformed (Printf.sprintf "batch of %d queries" n));
-          Batch
-            (List.init n (fun _ ->
-                 let id = Dec.int d in
-                 (id, Dec.string d)))
-      | 5 ->
-          let id = Dec.int d in
-          let meth = Dec.string d in
-          let target = Dec.string d in
-          let n = Dec.u32 d in
-          if n > max_headers then
-            raise (Malformed (Printf.sprintf "%d request headers" n));
-          let headers =
-            List.init n (fun _ ->
-                let k = Dec.string d in
-                (k, Dec.string d))
-          in
-          Hreq { id; meth; target; headers }
-      | 6 ->
-          let id = Dec.int d in
-          let status = Dec.u32 d in
-          let n = Dec.u32 d in
-          if n > max_headers then
-            raise (Malformed (Printf.sprintf "%d response headers" n));
-          let headers =
-            List.init n (fun _ ->
-                let k = Dec.string d in
-                (k, Dec.string d))
-          in
-          Hresp { id; status; headers; body = Dec.string d }
-      | 7 -> Ping { id = Dec.int d }
-      | 8 ->
-          let id = Dec.int d in
-          let role = Dec.string d in
-          let lsn = Dec.int d in
-          let stream_id = Dec.int d in
-          Pong { id; role; lsn; stream_id; repl_port = Dec.int d }
-      | 9 ->
-          let id = Dec.int d in
-          let verb = Dec.string d in
-          Ctl { id; verb; arg = Dec.string d }
-      | ty -> raise (Malformed (Printf.sprintf "unknown frame type %d" ty))
-    in
-    if Dec.remaining d <> 0 then raise (Malformed "trailing payload bytes");
-    f
-  with Corrupt m -> raise (Malformed m)
+  let n = Dec.u32 d in
+  if n > max_headers then Envelope.bad "%d %s headers" n what;
+  List.init n (fun _ ->
+      let k = Dec.string d in
+      (k, Dec.string d))
 
-let crc_of (payload : string) : int =
-  Int32.to_int (Pstore.Codec.Crc32.digest payload) land 0xffffffff
+let decode_payload (ty : int) (d : Pstore.Codec.Dec.t) : frame =
+  let open Pstore.Codec in
+  match ty with
+  | 1 ->
+      let id = Dec.int d in
+      Query { id; q = Dec.string d }
+  | 2 ->
+      let id = Dec.int d in
+      Result { id; v = Dec.string d }
+  | 3 ->
+      let id = Dec.int d in
+      Error { id; msg = Dec.string d }
+  | 4 ->
+      let n = Dec.u32 d in
+      if n > max_batch then Envelope.bad "batch of %d queries" n;
+      Batch
+        (List.init n (fun _ ->
+             let id = Dec.int d in
+             (id, Dec.string d)))
+  | 5 ->
+      let id = Dec.int d in
+      let meth = Dec.string d in
+      let target = Dec.string d in
+      Hreq { id; meth; target; headers = dec_headers d "request" }
+  | 6 ->
+      let id = Dec.int d in
+      let status = Dec.u32 d in
+      let headers = dec_headers d "response" in
+      Hresp { id; status; headers; body = Dec.string d }
+  | 7 -> Ping { id = Dec.int d }
+  | 8 ->
+      let id = Dec.int d in
+      let role = Dec.string d in
+      let lsn = Dec.int d in
+      let stream_id = Dec.int d in
+      Pong { id; role; lsn; stream_id; repl_port = Dec.int d }
+  | 9 ->
+      let id = Dec.int d in
+      let verb = Dec.string d in
+      Ctl { id; verb; arg = Dec.string d }
+  | ty -> Envelope.unknown_tag ty
 
-(** The complete on-wire encoding of a frame.  Oversized payloads raise
-    [Malformed] on the sender — the receiver would reject the length
-    field anyway, and failing at the source is where the bug is
-    visible. *)
 let encode (f : frame) : string =
-  let open Pstore.Codec in
-  let payload = encode_payload f in
-  if String.length payload > max_payload then
-    raise
-      (Malformed
-         (Printf.sprintf "frame payload of %d bytes exceeds the %d-byte cap"
-            (String.length payload) max_payload));
-  let e = Enc.create ~size:(header_size + String.length payload + 4) () in
-  Enc.u32 e magic;
-  Enc.u8 e (tag f);
-  Enc.u32 e (String.length payload);
-  Enc.raw e payload;
-  Enc.u32 e (crc_of payload);
-  Enc.to_string e
+  Envelope.encode ~magic ~max_payload ~tag:(tag f) (encode_payload f)
 
-type parsed = Frame of frame * int | Need_more | Bad of string
-
-let u32_at (buf : string) (at : int) : int =
-  Char.code buf.[at]
-  lor (Char.code buf.[at + 1] lsl 8)
-  lor (Char.code buf.[at + 2] lsl 16)
-  lor (Char.code buf.[at + 3] lsl 24)
+type 'a parsed = 'a Envelope.parsed =
+  | Frame of 'a * int
+  | Need_more
+  | Bad of string
 
 (** Try to extract one frame starting at [off] in a stream buffer.
-    [Frame (f, n)] means [n] bytes were consumed.  Any envelope
-    violation — wrong magic, unknown type, oversized length, CRC
-    mismatch, malformed payload — is [Bad]: there is no resynchronising
-    a byte stream after corrupt framing, the connection must die. *)
-let parse (buf : string) ~(off : int) : parsed =
-  let avail = String.length buf - off in
-  if avail < header_size then Need_more
-  else
-    let m = u32_at buf off in
-    if m <> magic then Bad (Printf.sprintf "bad magic 0x%08x" m)
-    else
-      let ty = Char.code buf.[off + 4] in
-      let len = u32_at buf (off + 5) in
-      if len > max_payload then
-        Bad (Printf.sprintf "oversized frame (%d-byte payload)" len)
-      else if avail < header_size + len + 4 then Need_more
-      else
-        let payload = String.sub buf (off + header_size) len in
-        let expect = u32_at buf (off + header_size + len) in
-        if crc_of payload <> expect then Bad "frame CRC mismatch"
-        else
-          match decode_payload ty payload with
-          | f -> Frame (f, header_size + len + 4)
-          | exception Malformed m -> Bad m
+    [Frame (f, n)] means [n] bytes were consumed; any envelope or
+    payload violation is [Bad]. *)
+let parse (buf : string) ~(off : int) : frame parsed =
+  Envelope.parse ~magic ~max_payload ~decode:decode_payload buf ~off

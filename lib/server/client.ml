@@ -1,135 +1,88 @@
 (** Blocking client for the binary POOL protocol.
 
-    Deliberately small and dependency-free: connect, send
-    {!Binary_proto} frames, read answers.  [query] is the one-shot
-    path; [batch] is the amortisation path — one [Batch] frame out, N
-    answers back in request order, one write syscall and one read burst
-    instead of N round trips.  The load generator, the router's backend
-    pool and the protocol tests are all built on this module, and it is
-    the reference implementation for anyone speaking the protocol from
-    another language.
+    Deliberately small: connect, send {!Binary_proto} frames, read
+    answers.  [query] is the one-shot path; [batch] is the amortisation
+    path — one [Batch] frame out, N answers back in request order, one
+    write syscall and one read burst instead of N round trips.  The
+    load generator, the router's {!Backend_pool} and the protocol tests
+    are all built on this module, and it is the reference
+    implementation for anyone speaking the protocol from another
+    language.
 
-    Transport failures — refused connects, resets, EOF mid-frame — are
-    surfaced as the typed {!Backend_down} instead of raw [Unix_error],
-    so callers distinguish "this backend is gone, try a peer" from
-    programming errors.  {!Protocol_error} still means framing damage:
-    the stream cannot be resynchronised and the connection must die. *)
+    Sockets are dialled, written and read only through {!Prepl.Link},
+    the same seam the replication stream uses: hostnames resolve via
+    getaddrinfo, SIGPIPE is ignored, and every transport failure —
+    unresolvable host, refused connect, reset, EOF mid-frame — is the
+    typed {!Backend_down}, so callers distinguish "this backend is
+    gone, try a peer" from programming errors.  {!Protocol_error} means
+    framing damage: the stream cannot be resynchronised and the
+    connection must die. *)
+
+module Link = Prepl.Link
 
 type t = {
-  fd : Unix.file_descr;
+  link : Link.t;
+  chunk : Bytes.t; (* 64 KiB receive buffer: one read per burst *)
   mutable buf : string; (* received, not yet parsed *)
   mutable next_id : int;
 }
 
 type answer = Ok of string | Err of string
 
-exception Backend_down of string
+exception Backend_down = Link.Link_down
 exception Protocol_error of string
 
-let down fmt = Printf.ksprintf (fun m -> raise (Backend_down m)) fmt
-
-(* Map transport-level Unix errors to the typed failure; anything else
-   (EBADF from a caller bug, say) still escapes as Unix_error. *)
-let transport_errors =
-  Unix.
-    [
-      ECONNREFUSED;
-      ECONNRESET;
-      ECONNABORTED;
-      EPIPE;
-      ETIMEDOUT;
-      EHOSTUNREACH;
-      ENETUNREACH;
-      ENETDOWN;
-      EHOSTDOWN;
-      EADDRNOTAVAIL;
-    ]
-
-let wrap_unix (what : string) (f : unit -> 'a) : 'a =
-  try f ()
-  with Unix.Unix_error (e, _, _) when List.mem e transport_errors ->
-    down "%s: %s" what (Unix.error_message e)
-
 let connect ?(host = "127.0.0.1") ~port () : t =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-  (try
-     wrap_unix
-       (Printf.sprintf "connect %s:%d" host port)
-       (fun () ->
-         Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port)))
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  { fd; buf = ""; next_id = 0 }
+  { link = Link.connect ~host ~port; chunk = Bytes.create 65536; buf = ""; next_id = 0 }
 
-(** Connect with capped exponential backoff: [attempts] tries, delays
-    [base_s], 2*[base_s], ... capped at [cap_s].  Raises the last
-    {!Backend_down} if every attempt fails. *)
-let connect_retry ?(host = "127.0.0.1") ~port ?(attempts = 5)
-    ?(base_s = 0.05) ?(cap_s = 2.0) () : t =
-  let rec go n delay =
-    match connect ~host ~port () with
-    | t -> t
-    | exception Backend_down _ when n < attempts ->
-        Thread.delay delay;
-        go (n + 1) (Float.min cap_s (delay *. 2.))
-  in
-  go 1 base_s
+let close (t : t) = t.link.Link.close ()
 
-let close (t : t) = try Unix.close t.fd with Unix.Unix_error _ -> ()
-let fd (t : t) = t.fd
+(** Wake any thread blocked on [t] without releasing the descriptor
+    (the [shutdown] of {!Link.t}); the owner still calls {!close}. *)
+let shutdown (t : t) = t.link.Link.shutdown ()
 
 let fresh_id (t : t) : int =
   let id = t.next_id in
   t.next_id <- id + 1;
   id
 
-let send_all (t : t) (s : string) =
-  let b = Bytes.unsafe_of_string s in
-  let off = ref 0 in
-  wrap_unix "write" (fun () ->
-      while !off < String.length s do
-        match Unix.write t.fd b !off (String.length s - !off) with
-        | 0 -> down "write: no progress"
-        | n -> off := !off + n
-      done)
-
 let send_frame (t : t) (f : Binary_proto.frame) =
-  send_all t (Binary_proto.encode f)
+  Link.send_string t.link (Binary_proto.encode f)
+
+(* Append one read's worth of bytes to the unparsed buffer. *)
+let fill (t : t) =
+  match t.link.Link.recv t.chunk ~off:0 ~len:(Bytes.length t.chunk) with
+  | 0 -> raise (Backend_down "connection closed mid-frame")
+  | n -> t.buf <- t.buf ^ Bytes.sub_string t.chunk 0 n
 
 (** Read frames until one arrives; framing damage raises
     {!Protocol_error}, connection loss raises {!Backend_down}. *)
-let recv_frame (t : t) : Binary_proto.frame =
-  let chunk = Bytes.create 65536 in
+let rec recv_frame (t : t) : Binary_proto.frame =
+  match Binary_proto.parse t.buf ~off:0 with
+  | Binary_proto.Frame (f, consumed) ->
+      t.buf <- String.sub t.buf consumed (String.length t.buf - consumed);
+      f
+  | Binary_proto.Bad m -> raise (Protocol_error m)
+  | Binary_proto.Need_more ->
+      fill t;
+      recv_frame t
+
+(** Wait up to [timeout_s] for a whole frame: true once one (or framing
+    damage) is buffered, so the next {!recv_frame} returns without
+    blocking.  Bytes arriving meanwhile are read into the buffer, so a
+    peer that stalls mid-frame cannot hold the caller past the
+    deadline — this is the backend pool reader's idle wait. *)
+let poll ?(timeout_s = 0.) (t : t) : bool =
+  let deadline = Unix.gettimeofday () +. timeout_s in
   let rec go () =
-    match Binary_proto.parse t.buf ~off:0 with
-    | Binary_proto.Frame (f, consumed) ->
-        t.buf <- String.sub t.buf consumed (String.length t.buf - consumed);
-        f
-    | Binary_proto.Bad m -> raise (Protocol_error m)
-    | Binary_proto.Need_more -> (
-        match
-          wrap_unix "read" (fun () -> Unix.read t.fd chunk 0 (Bytes.length chunk))
-        with
-        | 0 -> down "connection closed mid-frame"
-        | n ->
-            t.buf <- t.buf ^ Bytes.sub_string chunk 0 n;
-            go ())
+    (match Binary_proto.parse t.buf ~off:0 with
+    | Binary_proto.Frame _ | Binary_proto.Bad _ -> true
+    | Binary_proto.Need_more -> false)
+    || t.link.Link.poll (Float.max 0. (deadline -. Unix.gettimeofday ()))
+       && (fill t;
+           go ())
   in
   go ()
-
-(** True when a frame is already buffered or bytes are readable within
-    [timeout_s]; lets a pool reader wait without committing to a read. *)
-let poll ?(timeout_s = 0.) (t : t) : bool =
-  (match Binary_proto.parse t.buf ~off:0 with
-  | Binary_proto.Frame _ | Binary_proto.Bad _ -> true
-  | Binary_proto.Need_more -> false)
-  ||
-  match Unix.select [ t.fd ] [] [] timeout_s with
-  | [], _, _ -> false
-  | _ -> true
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
 
 let answer_of (id : int) (f : Binary_proto.frame) : answer =
   match f with
@@ -152,67 +105,5 @@ let batch (t : t) (qs : string list) : answer list =
   send_frame t (Binary_proto.Batch ids);
   List.map (fun (id, _) -> answer_of id (recv_frame t)) ids
 
-(** One HTTP-shaped request over the binary connection.  Returns
-    (status, headers, body).  A request body rides in the
-    ["x-pdb-body"] header — mutation bodies are small form-encoded
-    strings, far under the frame cap. *)
-let http (t : t) ~(meth : string) ~(target : string)
-    ?(headers : (string * string) list = []) ?(body : string = "") () :
-    int * (string * string) list * string =
-  let id = fresh_id t in
-  let headers =
-    if body = "" then headers else ("x-pdb-body", body) :: headers
-  in
-  send_frame t (Binary_proto.Hreq { id; meth; target; headers });
-  match recv_frame t with
-  | Binary_proto.Hresp r when r.id = id -> (r.status, r.headers, r.body)
-  | Binary_proto.Error e when e.id = id -> raise (Protocol_error e.msg)
-  | _ -> raise (Protocol_error "unexpected frame type in http answer")
-
-let header_opt (headers : (string * string) list) (k : string) : string option
-    =
-  List.assoc_opt (String.lowercase_ascii k)
-    (List.map (fun (k, v) -> (String.lowercase_ascii k, v)) headers)
-
-(** {!http}, honoring [Retry-After] on 503: sleep the advertised delay
-    (capped at [cap_s]) and retry, up to [attempts] tries.  The final
-    503 is returned, not raised — overload is an answer, not a
-    transport failure. *)
-let http_retry ?(attempts = 3) ?(cap_s = 1.0) (t : t) ~meth ~target ?headers
-    ?body () : int * (string * string) list * string =
-  let rec go n =
-    let ((status, hs, _) as r) = http t ~meth ~target ?headers ?body () in
-    if status = 503 && n < attempts then (
-      let delay =
-        match header_opt hs "retry-after" with
-        | Some s -> ( match float_of_string_opt s with Some f -> f | None -> 0.1)
-        | None -> 0.1
-      in
-      Thread.delay (Float.min cap_s (Float.max 0.01 delay));
-      go (n + 1))
-    else r
-  in
-  go 1
-
+(** A backend's answer to the health-check [Ping]. *)
 type pong = { p_role : string; p_lsn : int; p_stream_id : int; p_repl_port : int }
-
-(** Health-check probe: who are you, how far have you applied? *)
-let ping (t : t) : pong =
-  let id = fresh_id t in
-  send_frame t (Binary_proto.Ping { id });
-  match recv_frame t with
-  | Binary_proto.Pong p when p.id = id ->
-      {
-        p_role = p.role;
-        p_lsn = p.lsn;
-        p_stream_id = p.stream_id;
-        p_repl_port = p.repl_port;
-      }
-  | Binary_proto.Error e when e.id = id -> raise (Protocol_error e.msg)
-  | _ -> raise (Protocol_error "unexpected frame type in ping answer")
-
-(** Send a cluster control verb ("promote" / "demote" / "follow"). *)
-let ctl (t : t) ~(verb : string) ~(arg : string) : answer =
-  let id = fresh_id t in
-  send_frame t (Binary_proto.Ctl { id; verb; arg });
-  answer_of id (recv_frame t)

@@ -746,7 +746,7 @@ let execute_bin (x : ctx) (f : Binary_proto.frame) : Event_loop.response =
   | Binary_proto.Hreq { id; meth; target; headers } ->
       (* An HTTP-shaped request riding the binary connection: same
          dispatch as the HTTP listener, answered as [Hresp].  Header
-         names arrive lowercased from {!Client.http}. *)
+         names are lowercased here, whatever case the sender used. *)
       let r =
         {
           r_meth = meth;

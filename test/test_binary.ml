@@ -118,11 +118,16 @@ let test_wrong_magic_rejected () =
   let s = BP.encode (BP.Query { id = 1; q = "select 1" }) in
   let b = Bytes.of_string s in
   Bytes.set b 0 'X';
-  match BP.parse (Bytes.to_string b) ~off:0 with
-  | BP.Bad m ->
-      if not (String.length m >= 9 && String.sub m 0 9 = "bad magic") then
-        Alcotest.fail ("wrong rejection: " ^ m)
-  | _ -> Alcotest.fail "wrong magic accepted"
+  (* a damaged magic, and a valid replication (PDRL) frame sent to the
+     query port by a misdirected client *)
+  List.iter
+    (fun input ->
+      match BP.parse input ~off:0 with
+      | BP.Bad m ->
+          if not (String.length m >= 9 && String.sub m 0 9 = "bad magic") then
+            Alcotest.fail ("wrong rejection: " ^ m)
+      | _ -> Alcotest.fail "wrong magic accepted")
+    [ Bytes.to_string b; Prepl.Wire.encode (Prepl.Wire.Ack { lsn = 7 }) ]
 
 (* --- end-to-end: binary port vs HTTP ------------------------------------ *)
 

@@ -6,7 +6,8 @@
      breaks ties, and the result is independent of candidate order —
      determinism is the split-brain defence;
    - the pipelined backend pool: typed answers over the binary
-     protocol, Backend_down (not a hang) against a dead port, and the
+     protocol, Backend_down (not a hang) against a dead port or an
+     unresolvable host, hostnames dialled via getaddrinfo, and the
      fail-fast backoff gate;
    - stopping a feed with a peer-repair PageFetch in flight answers
      promptly (refusal or close) instead of hanging the fetcher to its
@@ -360,6 +361,36 @@ let test_backend_pool () =
           | exception Client.Backend_down _ -> ());
           Alcotest.(check bool) "fail-fast, no hang" true
             (Unix.gettimeofday () -. t0 < 5.)))
+
+(* Backends are named by host, not only by numeric address: a pool for
+   "localhost" dials through getaddrinfo, and a host that cannot be
+   resolved is a typed Backend_down — never an escaping [Failure] that
+   would kill the router at start-up. *)
+let test_backend_pool_hostnames () =
+  let path = tmp_path () in
+  seed path;
+  let node =
+    Promote.create_leading ~readers:1 ~path ~host:"127.0.0.1" ~repl_port:0 ()
+  in
+  let ln = start_node ~path node in
+  Fun.protect
+    ~finally:(fun () ->
+      kill_node ln;
+      cleanup path)
+    (fun () ->
+      let pool = BP.create ~host:"localhost" ~port:ln.ln_bport () in
+      Fun.protect
+        ~finally:(fun () -> BP.close pool)
+        (fun () ->
+          Alcotest.(check string) "ping via localhost" "primary" (BP.ping pool).Client.p_role);
+      (* a NUL byte makes the name unresolvable without any DNS lookup *)
+      let pool = BP.create ~host:"no\000such-host" ~port:ln.ln_bport () in
+      Fun.protect
+        ~finally:(fun () -> BP.close pool)
+        (fun () ->
+          match BP.ping pool with
+          | _ -> Alcotest.fail "ping to an unresolvable host succeeded"
+          | exception Client.Backend_down _ -> ()))
 
 (* ------------------------------------------------------------------ *)
 (* Feed shutdown vs in-flight PageFetch (satellite)                    *)
@@ -721,7 +752,11 @@ let () =
             test_concurrent_elections_one_winner;
         ] );
       ( "pool",
-        [ Alcotest.test_case "pipelined typed requests" `Quick test_backend_pool ] );
+        [
+          Alcotest.test_case "pipelined typed requests" `Quick test_backend_pool;
+          Alcotest.test_case "hostname dial, unresolvable host" `Quick
+            test_backend_pool_hostnames;
+        ] );
       ( "feed",
         [
           Alcotest.test_case "stop with fetch in flight" `Quick

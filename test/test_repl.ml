@@ -131,6 +131,8 @@ let test_wire_damage () =
     Bytes.to_string b
   in
   expect_wire_error "bad magic" (flip 0 good);
+  expect_wire_error "a query-protocol (PDBQ) frame on the replication link"
+    (Pserver.Binary_proto.encode (Pserver.Binary_proto.Ping { id = 1 }));
   expect_wire_error "unknown type" (flip 4 good);
   expect_wire_error "payload corrupt (CRC)" (flip 12 good);
   expect_wire_error "CRC field corrupt" (flip (String.length good - 1) good);
