@@ -506,33 +506,18 @@ let replica_cmd =
       Thread.delay 0.05
     done;
     (* Replica serving goes through the same snapshot-routing path as
-       the primary: a reader pool whose generations are read-only
-       handles opened under the applier lock, so requests never race
-       delta apply, and a client's X-PDB-Min-LSN token is answered
-       honestly (catch-up wait, then 503) instead of from a handle the
-       applier is rewriting. *)
-    let readers = max 1 readers in
-    let open_view () =
+       the primary: a reader pool whose generations are copies of a
+       read-only handle advanced under the applier lock, so requests
+       never race delta apply, and a client's X-PDB-Min-LSN token is
+       answered honestly (catch-up wait, then 503) instead of from a
+       handle the applier is rewriting. *)
+    let pool =
+      Pserver.Reader_pool.create ~max_lag_ms ~readers:(max 1 readers)
+        (Pserver.Reader_pool.follower_source apply)
+    in
+    let db =
       Prepl.Replica.Apply.with_lock apply (fun () -> Database.open_ ~readonly:true file)
     in
-    let source =
-      {
-        Pserver.Reader_pool.src_lsn =
-          (fun () ->
-            Prepl.Replica.Apply.with_lock apply (fun () ->
-                match apply.Prepl.Replica.Apply.pager with
-                | Some p -> Pstore.Pager.lsn p
-                | None -> -1));
-        src_build =
-          (fun n ->
-            (* One read-only handle per generation, shared by all
-               readers: the mirror is immutable once loaded. *)
-            let db = open_view () in
-            (Array.make n db, [ db ]));
-      }
-    in
-    let pool = Pserver.Reader_pool.create ~max_lag_ms ~readers source in
-    let db = open_view () in
     Fun.protect
       ~finally:(fun () ->
         Prepl.Replica.stop sess;

@@ -125,13 +125,18 @@ check_bench_json "$BENCH_OUT/BENCH_PR10.json" \
 # fleet smoke: the repo benchmark's fleet workload (primary + promotable
 # replica + router as real pdb processes) runs router <-> backend frames
 # and feed shipping end to end and ends with a byte-identity check; its
-# last line is a JSON verdict that must be correct with zero failed ops
-fleet_verdict="$(python3 perfbench/run.py --workload fleet --seed 1 --seconds 3 | tail -n 1)"
-printf '%s\n' "$fleet_verdict" | python3 -c '
+# last line is a JSON verdict that must be correct with zero failed ops.
+# The --trace 1 pass adds the in-process pooled pass (reader-pool
+# generations built by snapshot/snapshot_clone under a running group
+# writer) and checks its answers too.
+for trace in 0 1; do
+  fleet_verdict="$(python3 perfbench/run.py --workload fleet --seed 1 --seconds 3 --trace "$trace" | tail -n 1)"
+  printf '%s\n' "$fleet_verdict" | python3 -c '
 import json, sys
 r = json.loads(sys.stdin.read())
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
-  || fail "perfbench fleet smoke failed: $fleet_verdict"
+    || fail "perfbench fleet smoke (--trace $trace) failed: $fleet_verdict"
+done
 
 # the bench smoke must leave the committed trajectory records untouched
 [ "$(records_digest)" = "$digest_before" ] \

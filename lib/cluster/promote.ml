@@ -95,30 +95,6 @@ let with_cm node f =
 (* Follower plumbing                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* A reader-pool source over the applier: LSN under the applier lock,
-   views opened read-only against the replica file (same idiom as the
-   standalone replica command). *)
-let follower_pool ~readers ~max_lag_ms ~path (apply : Replica.Apply.t) :
-    Reader_pool.t =
-  let src =
-    {
-      Reader_pool.src_lsn =
-        (fun () ->
-          Replica.Apply.with_lock apply (fun () ->
-              match apply.Replica.Apply.pager with
-              | Some p -> Pstore.Pager.lsn p
-              | None -> -1));
-      src_build =
-        (fun n ->
-          let db =
-            Replica.Apply.with_lock apply (fun () ->
-                Database.open_ ~readonly:true path)
-          in
-          (Array.make n db, [ db ]));
-    }
-  in
-  Reader_pool.create ~max_lag_ms ~readers src
-
 let wait_bootstrap ?(timeout_s = 30.) (sess : Replica.session) : bool =
   let apply = sess.Replica.apply in
   let deadline = Unix.gettimeofday () +. timeout_s in
@@ -319,8 +295,8 @@ and setup_following (node : node) ~uhost ~uport : (string, string) result =
   else begin
     let apply = sess.Replica.apply in
     let pool =
-      follower_pool ~readers:node.n_readers ~max_lag_ms:node.n_max_lag_ms
-        ~path:node.n_path apply
+      Reader_pool.create ~max_lag_ms:node.n_max_lag_ms ~readers:node.n_readers
+        (Reader_pool.follower_source apply)
     in
     let db =
       Replica.Apply.with_lock apply (fun () ->
@@ -395,7 +371,7 @@ let create_following ?(readers = 2) ?(max_lag_ms = 50.) ?(cascade = false)
       end
       else begin
         let apply = sess.Replica.apply in
-        let pool = follower_pool ~readers ~max_lag_ms ~path apply in
+        let pool = Reader_pool.create ~max_lag_ms ~readers (Reader_pool.follower_source apply) in
         let db =
           Replica.Apply.with_lock apply (fun () ->
               Database.open_ ~readonly:true path)

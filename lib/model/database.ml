@@ -9,7 +9,9 @@
     {!Pevent.Bus} for the rules and view layers.
 
     All objects are mirrored in memory (write-through to the store);
-    abort rebuilds the in-memory mirror from the rolled-back store. *)
+    abort rebuilds the in-memory mirror from the rolled-back store.
+    Objects are immutable, so a snapshot view is a copy of the mirror's
+    tables that shares every object with the live handle. *)
 
 open Pstore
 open Pevent
@@ -49,19 +51,20 @@ type ext = ..
 
 type t = {
   store : Store.t;
-  (* [Some s] marks a frozen snapshot view: reads come from the mirror
-     built off [s], mutators are rejected, and [close] releases the
-     snapshot instead of closing the (shared) store. *)
-  view : Store.Snapshot.s option;
+  (* [Some lsn] marks a snapshot view frozen at [lsn]: a copy of the
+     mirror taken at that commit boundary.  Mutators are rejected, and
+     [close] leaves the (shared) store alone. *)
+  view : int option;
   schema : Meta.t;
   bus : Bus.t;
-  (* in-memory mirror *)
+  (* in-memory mirror; every value is immutable, so a table copy is a
+     complete, independent mirror *)
   objects : (int, Obj.t) Hashtbl.t;
-  extents : (string, OidSet.t ref) Hashtbl.t; (* exact class -> oids *)
-  out_rels : (int, OidSet.t ref) Hashtbl.t; (* origin oid -> rel oids *)
-  in_rels : (int, OidSet.t ref) Hashtbl.t; (* destination oid -> rel oids *)
+  extents : (string, OidSet.t) Hashtbl.t; (* exact class -> oids *)
+  out_rels : (int, OidSet.t) Hashtbl.t; (* origin oid -> rel oids *)
+  in_rels : (int, OidSet.t) Hashtbl.t; (* destination oid -> rel oids *)
   (* secondary attribute indexes: (class, attr) -> ordered value map -> oids *)
-  indexes : (string * string, OidSet.t ValueMap.t ref) Hashtbl.t;
+  indexes : (string * string, OidSet.t ValueMap.t) Hashtbl.t;
   (* bumped on create_index/drop_index and on class/relationship
      definition so cached query plans can detect that their access-path
      and extent-vs-expression choices went stale *)
@@ -73,28 +76,28 @@ type t = {
   ext_mu : Mutex.t;
   (* instance synonyms: union-find parent map (rebuilt on open) *)
   syn_parent : (int, int) Hashtbl.t;
+  (* read-only handles only: the directory as last decoded (oid -> rid),
+     so {!advance} re-decodes just the records that moved or whose page
+     was rewritten *)
+  rids : (int, Heap.rid) Hashtbl.t;
   (* oids touched in the current transaction, for deferred checks *)
   touched : (int, unit) Hashtbl.t;
   mutable tx_depth : int;
+  (* the store holds writes made outside any transaction: they carry no
+     LSN until the next commit, so {!snapshot} commits them first *)
+  mutable unsettled : bool;
 }
 
 (* ---------------------------------------------------------------------- *)
 (* Small helpers over the mirror                                           *)
 (* ---------------------------------------------------------------------- *)
 
-let set_of tbl key = match Hashtbl.find_opt tbl key with Some r -> !r | None -> OidSet.empty
-
-let add_to tbl key oid =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> r := OidSet.add oid !r
-  | None -> Hashtbl.replace tbl key (ref (OidSet.singleton oid))
+let set_of tbl key = match Hashtbl.find_opt tbl key with Some s -> s | None -> OidSet.empty
+let add_to tbl key oid = Hashtbl.replace tbl key (OidSet.add oid (set_of tbl key))
 
 let remove_from tbl key oid =
-  match Hashtbl.find_opt tbl key with
-  | Some r ->
-      r := OidSet.remove oid !r;
-      if OidSet.is_empty !r then Hashtbl.remove tbl key
-  | None -> ()
+  let s = OidSet.remove oid (set_of tbl key) in
+  if OidSet.is_empty s then Hashtbl.remove tbl key else Hashtbl.replace tbl key s
 
 let schema t = t.schema
 let bus t = t.bus
@@ -142,47 +145,39 @@ let index_covers t ~index_class ~obj_class =
   Meta.is_subclass t.schema ~sub:obj_class ~super:index_class
 
 let map_add table key oid =
-  table :=
-    ValueMap.update key
-      (function Some s -> Some (OidSet.add oid s) | None -> Some (OidSet.singleton oid))
-      !table
+  ValueMap.update key
+    (function Some s -> Some (OidSet.add oid s) | None -> Some (OidSet.singleton oid))
+    table
 
 let map_remove table key oid =
-  table :=
-    ValueMap.update key
-      (function
-        | Some s ->
-            let s = OidSet.remove oid s in
-            if OidSet.is_empty s then None else Some s
-        | None -> None)
-      !table
+  ValueMap.update key
+    (function
+      | Some s ->
+          let s = OidSet.remove oid s in
+          if OidSet.is_empty s then None else Some s
+      | None -> None)
+    table
 
-let index_add t (o : Obj.t) =
-  Hashtbl.iter
+(* Apply [f] to every index covering [o]'s class. *)
+let index_each t (o : Obj.t) f =
+  Hashtbl.filter_map_inplace
     (fun (cls, attr) table ->
-      if index_covers t ~index_class:cls ~obj_class:o.Obj.class_name then
-        map_add table (Obj.get o attr) o.Obj.oid)
-    t.indexes
-
-let index_remove t (o : Obj.t) =
-  Hashtbl.iter
-    (fun (cls, attr) table ->
-      if index_covers t ~index_class:cls ~obj_class:o.Obj.class_name then
-        map_remove table (Obj.get o attr) o.Obj.oid)
-    t.indexes
-
-let index_update t (o : Obj.t) attr ~old_v ~new_v =
-  Hashtbl.iter
-    (fun (cls, a) table ->
-      if a = attr && index_covers t ~index_class:cls ~obj_class:o.Obj.class_name then begin
-        map_remove table old_v o.Obj.oid;
-        map_add table new_v o.Obj.oid
-      end)
+      Some
+        (if index_covers t ~index_class:cls ~obj_class:o.Obj.class_name then
+           f table (Obj.get o attr) o.Obj.oid
+         else table))
     t.indexes
 
 (* ---------------------------------------------------------------------- *)
 (* Mirror (re)construction                                                 *)
 (* ---------------------------------------------------------------------- *)
+
+(* union the two endpoints of a synonym object *)
+let syn_union t (o : Obj.t) =
+  let a = Value.as_ref (Obj.get o "a") and b = Value.as_ref (Obj.get o "b") in
+  let rec root x = match Hashtbl.find_opt t.syn_parent x with Some p when p <> x -> root p | _ -> x in
+  let ra = root a and rb = root b in
+  if ra <> rb then Hashtbl.replace t.syn_parent (max ra rb) (min ra rb)
 
 let mirror_insert t (o : Obj.t) =
   Hashtbl.replace t.objects o.Obj.oid o;
@@ -191,14 +186,8 @@ let mirror_insert t (o : Obj.t) =
     add_to t.out_rels (Obj.origin o) o.Obj.oid;
     add_to t.in_rels (Obj.destination o) o.Obj.oid
   end;
-  if o.Obj.class_name = synonym_class then begin
-    (* union the two endpoints *)
-    let a = Value.as_ref (Obj.get o "a") and b = Value.as_ref (Obj.get o "b") in
-    let rec root x = match Hashtbl.find_opt t.syn_parent x with Some p when p <> x -> root p | _ -> x in
-    let ra = root a and rb = root b in
-    if ra <> rb then Hashtbl.replace t.syn_parent (max ra rb) (min ra rb)
-  end;
-  index_add t o
+  if o.Obj.class_name = synonym_class then syn_union t o;
+  index_each t o map_add
 
 let mirror_remove t (o : Obj.t) =
   Hashtbl.remove t.objects o.Obj.oid;
@@ -207,23 +196,51 @@ let mirror_remove t (o : Obj.t) =
     remove_from t.out_rels (Obj.origin o) o.Obj.oid;
     remove_from t.in_rels (Obj.destination o) o.Obj.oid
   end;
-  index_remove t o
+  (* a union cannot be undone in place: re-union the survivors, in oid
+     order, exactly as a fresh open would *)
+  if o.Obj.class_name = synonym_class then begin
+    Hashtbl.reset t.syn_parent;
+    OidSet.iter (fun s -> syn_union t (Hashtbl.find t.objects s)) (set_of t.extents synonym_class)
+  end;
+  index_each t o map_remove
 
+(* An object changed: swap the old version out of every structure and
+   the new one in. *)
+let mirror_replace t (old_o : Obj.t) (o : Obj.t) =
+  mirror_remove t old_o;
+  mirror_insert t o
+
+(* Full decode of the store into the mirror: at open, and after a
+   rollback.  Read-only handles also record the directory for
+   {!advance}. *)
 let rebuild_mirror t =
   Hashtbl.reset t.objects;
   Hashtbl.reset t.extents;
   Hashtbl.reset t.out_rels;
   Hashtbl.reset t.in_rels;
   Hashtbl.reset t.syn_parent;
-  Hashtbl.iter (fun _ table -> table := ValueMap.empty) t.indexes;
-  Store.iter t.store (fun oid data ->
-      if oid <> schema_oid then mirror_insert t (Obj.decode ~oid data))
+  Hashtbl.reset t.rids;
+  Hashtbl.filter_map_inplace (fun _ _ -> Some ValueMap.empty) t.indexes;
+  let ro = Store.is_readonly t.store in
+  Store.directory t.store (fun oid rid ->
+      if ro then Hashtbl.replace t.rids oid rid;
+      if oid <> schema_oid then mirror_insert t (Obj.decode ~oid (Store.record t.store rid)))
 
 (* ---------------------------------------------------------------------- *)
 (* Lifecycle                                                               *)
 (* ---------------------------------------------------------------------- *)
 
-let persist_schema t = Store.put t.store ~oid:schema_oid (Meta.encode t.schema)
+(* Every store write of this layer goes through these two, which note
+   writes made outside any transaction (see [unsettled]). *)
+let store_put t ~oid data =
+  Store.put t.store ~oid data;
+  if not (Store.in_tx t.store) then t.unsettled <- true
+
+let store_delete t ~oid =
+  ignore (Store.delete t.store ~oid);
+  if not (Store.in_tx t.store) then t.unsettled <- true
+
+let persist_schema t = store_put t ~oid:schema_oid (Meta.encode t.schema)
 
 let register_builtin_classes schema =
   if not (Meta.is_class schema synonym_class) then
@@ -235,7 +252,8 @@ let open_ ?cache_pages ?config ?vfs ?readonly path : t =
   let store = Store.open_ ?cache_pages ?config ?vfs ?readonly path in
   let ro = Store.is_readonly store in
   let schema = Meta.empty () in
-  (match Store.get store ~oid:schema_oid with
+  let stored = Store.get store ~oid:schema_oid in
+  (match stored with
   | Some data -> Meta.decode_into schema data
   | None ->
       if ro then fail "%s: readonly open of a store with no schema" path;
@@ -258,104 +276,142 @@ let open_ ?cache_pages ?config ?vfs ?readonly path : t =
       ext = Hashtbl.create 4;
       ext_mu = Mutex.create ();
       syn_parent = Hashtbl.create 64;
+      rids = Hashtbl.create (if ro then 1024 else 1);
       touched = Hashtbl.create 64;
       tx_depth = 0;
+      unsettled = false;
     }
   in
   Bus.set_subclass_pred bus (is_subclass t);
   (* A read-only handle (replica serving) must not write: the stored
      schema was decoded above and [register_builtin_classes] is
-     idempotent, so skipping the persist loses nothing. *)
-  if not ro then persist_schema t;
+     idempotent, so skipping the persist loses nothing.  A writable
+     handle rewrites the schema only when it differs from the stored
+     record (a fresh store), so reopening leaves nothing uncommitted,
+     and it resynchronises its mirror inside every rollback, before the
+     commit boundary is released. *)
+  if not ro then begin
+    if stored <> Some (Meta.encode schema) then persist_schema t;
+    Store.set_rollback_hook store (fun () -> rebuild_mirror t)
+  end;
   rebuild_mirror t;
   t
 
-let close t =
-  match t.view with
-  | Some s -> Store.Snapshot.release s
-  | None -> Store.close t.store
+let close t = match t.view with Some _ -> () | None -> Store.close t.store
+
+(* Give writes made outside any transaction their LSN. *)
+let settle t =
+  if t.unsettled then begin
+    Store.with_tx t.store ignore;
+    t.unsettled <- false
+  end
 
 (* ---------------------------------------------------------------------- *)
 (* Snapshot views                                                          *)
 (* ---------------------------------------------------------------------- *)
 
-(* Build a full database view over a frozen store snapshot: its own
-   schema, bus, mirror and layer state, all reconstructed from the
-   snapshot's bytes, so it shares nothing mutable with the parent. *)
-let of_store_snapshot ~(store : Store.t) (snap : Store.Snapshot.s)
-    ~(index_defs : (string * string) list) : t =
-  let schema = Meta.empty () in
-  (match Store.Snapshot.get snap ~oid:schema_oid with
-  | Some data -> Meta.decode_into schema data
-  | None -> fail "snapshot: store has no schema record");
-  register_builtin_classes schema;
-  let bus = Bus.create () in
-  let t =
+(* A view frozen at [lsn]: fresh copies of the mirror's tables (their
+   values are immutable and shared), a copy of the schema, and its own
+   bus and layer state. *)
+let copy_view t ~lsn : t =
+  let v =
     {
-      (* the parent's handle, kept only for stats plumbing: every view
-         read goes to the mirror, and [check_writable] fences writes *)
-      store;
-      view = Some snap;
-      schema;
-      bus;
-      objects = Hashtbl.create 1024;
-      extents = Hashtbl.create 64;
-      out_rels = Hashtbl.create 1024;
-      in_rels = Hashtbl.create 1024;
-      indexes = Hashtbl.create 8;
-      index_epoch = 0;
+      t with
+      view = Some lsn;
+      schema = Meta.copy t.schema;
+      bus = Bus.create ();
+      objects = Hashtbl.copy t.objects;
+      extents = Hashtbl.copy t.extents;
+      out_rels = Hashtbl.copy t.out_rels;
+      in_rels = Hashtbl.copy t.in_rels;
+      indexes = Hashtbl.copy t.indexes;
       ext = Hashtbl.create 4;
       ext_mu = Mutex.create ();
-      syn_parent = Hashtbl.create 64;
-      touched = Hashtbl.create 64;
+      syn_parent = Hashtbl.copy t.syn_parent;
+      rids = Hashtbl.create 1;
+      touched = Hashtbl.create 1;
       tx_depth = 0;
+      unsettled = false;
     }
   in
-  Bus.set_subclass_pred bus (is_subclass t);
-  Store.Snapshot.iter snap (fun oid data ->
-      if oid <> schema_oid then mirror_insert t (Obj.decode ~oid data));
-  (* Rebuild the parent's secondary indexes over the frozen mirror so
-     cached plans made against the view see the same access paths. *)
-  List.iter
-    (fun (cls, attr) ->
-      let table = ref ValueMap.empty in
-      Hashtbl.replace t.indexes (cls, attr) table;
-      Hashtbl.iter
-        (fun _ o ->
-          if index_covers t ~index_class:cls ~obj_class:o.Obj.class_name then
-            map_add table (Obj.get o attr) o.Obj.oid)
-        t.objects)
-    index_defs;
-  t
-
-let index_defs t = Hashtbl.fold (fun k _ acc -> k :: acc) t.indexes []
+  Bus.set_subclass_pred v.bus (is_subclass v);
+  v
 
 (** Freeze the current committed state into a read-only database view.
 
-    The view is a complete, self-contained {!t}: queries, extents,
-    indexes and graph traversals all work, pinned at the store LSN the
-    snapshot captured.  Mutators and transactions are rejected.
-    [close] on the view releases the pinned page versions (it never
-    touches the parent).  A view is built for one domain; to fan out
-    across N domains either [snapshot_clone] it per domain or share one
-    view — shared views are safe because all reads go to the immutable
-    mirror and layer state is installed under {!ext_get_or_init}. *)
+    The view is a copy of the mirror's tables — objects, extents,
+    relationship adjacency, secondary indexes, synonyms and schema —
+    taken at a commit boundary, under the lock every transaction holds
+    from begin to commit or abort.  It therefore equals a decode of the
+    store at the LSN it reports: never part of a group batch, never a
+    rolled-back body.  Writes made outside any transaction are
+    committed first, so they too carry the view's LSN.  Objects are
+    immutable and shared with the parent; the copy reads no page and
+    pins no page versions.
+
+    Queries, extents, indexes and graph traversals all work on the
+    view; mutators and transactions are rejected; [close] is a no-op.
+    One view may be shared by any number of domains: reads never
+    mutate its tables, and layer state is installed under
+    {!ext_get_or_init}.  A read-only handle snapshots the same way (a
+    replica follower, after {!advance}). *)
 let snapshot (parent : t) : t =
   if is_view parent then fail "snapshot of a snapshot view";
-  let defs = index_defs parent in
-  of_store_snapshot ~store:parent.store (Store.snapshot parent.store) ~index_defs:defs
+  settle parent;
+  Store.at_boundary parent.store (fun lsn -> copy_view parent ~lsn)
 
-(** An independent view of the same frozen LSN (own mirror, own layer
-    state) for another domain. *)
+(** Another view of the same frozen LSN: the same table copy, taken
+    from the view. *)
 let snapshot_clone (v : t) : t =
   match v.view with
   | None -> fail "snapshot_clone of a live database"
-  | Some s ->
-      of_store_snapshot ~store:v.store (Store.Snapshot.clone s) ~index_defs:(index_defs v)
+  | Some lsn -> copy_view v ~lsn
 
-(** The LSN a snapshot view is frozen at. *)
-let view_lsn t =
-  match t.view with Some s -> Store.Snapshot.lsn s | None -> Store.lsn t.store
+(** The LSN a snapshot view is frozen at (a handle's current LSN). *)
+let view_lsn t = match t.view with Some lsn -> lsn | None -> Store.lsn t.store
+
+(** Catch a read-only handle up with its file after another handle (a
+    replica's applier) has committed writes to [pages]: the directory
+    is re-read, only records whose rid moved or whose page was
+    rewritten are decoded again, and oids that left the directory are
+    dropped.  The caller keeps the writer between commits meanwhile
+    (the replica holds its applier lock). *)
+let advance t ~(pages : int list) =
+  if is_view t || not (Store.is_readonly t.store) then fail "advance: not a read-only handle";
+  Store.refresh t.store ~pages;
+  let changed = Hashtbl.create 64 in
+  List.iter (fun no -> Hashtbl.replace changed no ()) pages;
+  let before = Hashtbl.length t.rids and kept = ref 0 in
+  Store.directory t.store (fun oid rid ->
+      let prev = Hashtbl.find_opt t.rids oid in
+      if prev <> None then incr kept;
+      match prev with
+      | Some r when Heap.rid_equal r rid && not (Hashtbl.mem changed rid.Heap.page) -> ()
+      | _ ->
+          Hashtbl.replace t.rids oid rid;
+          let data = Store.record t.store rid in
+          if oid = schema_oid then begin
+            (* the schema only grows: decoding over it equals a fresh
+               decode; oid order puts it ahead of the objects using it *)
+            Meta.decode_into t.schema data;
+            t.index_epoch <- t.index_epoch + 1
+          end
+          else
+            let o = Obj.decode ~oid data in
+            match get t oid with Some old -> mirror_replace t old o | None -> mirror_insert t o);
+  (* some oids left the directory: find them with a second walk *)
+  if !kept < before then begin
+    let live = Hashtbl.create (Hashtbl.length t.rids) in
+    Store.directory t.store (fun oid _ -> Hashtbl.replace live oid ());
+    Hashtbl.filter_map_inplace
+      (fun oid rid ->
+        if Hashtbl.mem live oid then Some rid
+        else begin
+          Option.iter (mirror_remove t) (get t oid);
+          None
+        end)
+      t.rids
+  end
 
 (* ---------------------------------------------------------------------- *)
 (* Schema definition (persisted)                                           *)
@@ -407,6 +463,7 @@ let commit t =
     (* The commit event runs deferred rules; they may raise to veto. *)
     Bus.emit t.bus Event.Tx_commit;
     Store.commit t.store;
+    t.unsettled <- false;
     t.tx_depth <- 0;
     Hashtbl.reset t.touched
   end
@@ -415,8 +472,8 @@ let commit t =
 let abort t =
   if t.tx_depth <= 0 then fail "abort outside transaction";
   t.tx_depth <- 0;
+  (* the store's rollback hook rebuilds the mirror under the boundary *)
   Store.abort t.store;
-  rebuild_mirror t;
   Hashtbl.reset t.touched;
   Bus.emit t.bus Event.Tx_abort
 
@@ -471,7 +528,7 @@ let validated_attrs t ~class_name (attrs : (string * Value.t) list) : (string * 
 (* Object creation / update / deletion                                     *)
 (* ---------------------------------------------------------------------- *)
 
-let persist t (o : Obj.t) = Store.put t.store ~oid:o.Obj.oid (Obj.encode o)
+let persist t (o : Obj.t) = store_put t ~oid:o.Obj.oid (Obj.encode o)
 
 let create t class_name (attrs : (string * Value.t) list) : int =
   check_writable t;
@@ -500,10 +557,9 @@ let update t oid attr (v : Value.t) : unit =
   (if is_rel_instance t o then
      let rdef = Meta.rel_exn t.schema o.Obj.class_name in
      if rdef.Meta.constant then fail "relationship %s is constant" o.Obj.class_name);
-  let old_v = Obj.get o attr in
-  Obj.set o attr v;
-  persist t o;
-  index_update t o attr ~old_v ~new_v:v;
+  let o' = Obj.with_attr o attr v in
+  persist t o';
+  mirror_replace t o o';
   touch t oid;
   if is_rel_instance t o then
     Bus.emit t.bus
@@ -538,7 +594,7 @@ let rec delete t oid : unit =
           (fun rel_oid -> match get t rel_oid with None -> () | Some r -> delete_rel_instance t r)
           incoming;
         mirror_remove t o;
-        ignore (Store.delete t.store ~oid);
+        store_delete t ~oid;
         touch t oid;
         Bus.emit t.bus (Event.Obj_deleted { oid; class_name = o.Obj.class_name });
         (* a dependent destination survives only if another lifetime-
@@ -563,7 +619,7 @@ let rec delete t oid : unit =
 
 and delete_rel_instance t (r : Obj.t) =
   mirror_remove t r;
-  ignore (Store.delete t.store ~oid:r.Obj.oid);
+  store_delete t ~oid:r.Obj.oid;
   touch t r.Obj.oid;
   Bus.emit t.bus
     (Event.Rel_deleted
@@ -735,10 +791,13 @@ let retarget t rel_oid ?origin ?destination () =
   | exception e ->
       mirror_insert t r;
       raise e);
-  Obj.set r Obj.origin_attr (Value.VRef new_origin);
-  Obj.set r Obj.destination_attr (Value.VRef new_destination);
-  persist t r;
-  mirror_insert t r;
+  let r' =
+    Obj.with_attr
+      (Obj.with_attr r Obj.origin_attr (Value.VRef new_origin))
+      Obj.destination_attr (Value.VRef new_destination)
+  in
+  persist t r';
+  mirror_insert t r';
   touch t rel_oid;
   touch t new_origin;
   touch t new_destination;
@@ -864,11 +923,11 @@ let create_index t class_name attr =
   let key = (class_name, attr) in
   if not (Hashtbl.mem t.indexes key) then begin
     let table = ref ValueMap.empty in
-    Hashtbl.replace t.indexes key table;
-    t.index_epoch <- t.index_epoch + 1;
     iter_objects t (fun o ->
         if index_covers t ~index_class:class_name ~obj_class:o.Obj.class_name then
-          map_add table (Obj.get o attr) o.Obj.oid)
+          table := map_add !table (Obj.get o attr) o.Obj.oid);
+    Hashtbl.replace t.indexes key !table;
+    t.index_epoch <- t.index_epoch + 1
   end
 
 let drop_index t class_name attr =
@@ -887,7 +946,7 @@ let index_epoch t = t.index_epoch
 
 let index_lookup t class_name attr (v : Value.t) : OidSet.t option =
   match Hashtbl.find_opt t.indexes (class_name, attr) with
-  | Some table -> Some (Option.value ~default:OidSet.empty (ValueMap.find_opt v !table))
+  | Some table -> Some (Option.value ~default:OidSet.empty (ValueMap.find_opt v table))
   | None -> None
 
 (** Ordered range scan over an index.  Bounds are [(value, inclusive)];
@@ -915,8 +974,8 @@ let index_range t class_name attr ?lo ?hi () : OidSet.t option =
       in
       let seq =
         match lo with
-        | Some (v, _) -> ValueMap.to_seq_from v !table
-        | None -> ValueMap.to_seq !table
+        | Some (v, _) -> ValueMap.to_seq_from v table
+        | None -> ValueMap.to_seq table
       in
       let acc = ref OidSet.empty in
       let rec go s =
@@ -947,9 +1006,9 @@ let index_string_prefix t class_name attr prefix : OidSet.t option =
   match Hashtbl.find_opt t.indexes (class_name, attr) with
   | None -> None
   | Some table
-    when (not (ValueMap.is_empty !table))
+    when (not (ValueMap.is_empty table))
          && not
-              (match (ValueMap.min_binding !table, ValueMap.max_binding !table) with
+              (match (ValueMap.min_binding table, ValueMap.max_binding table) with
               | (Value.VString _, _), (Value.VString _, _) -> true
               | _ -> false) ->
       None
@@ -967,7 +1026,7 @@ let index_string_prefix t class_name attr prefix : OidSet.t option =
                 go rest
             | _ -> () (* past the contiguous prefix block *))
       in
-      go (ValueMap.to_seq_from (Value.VString prefix) !table);
+      go (ValueMap.to_seq_from (Value.VString prefix) table);
       Some !acc
 
 (* ---------------------------------------------------------------------- *)
@@ -1025,8 +1084,8 @@ let object_count t = Hashtbl.length t.objects
     transaction and blocks until it is durable, returning the commit
     LSN.  Concurrent submitters batch into shared fsync cycles.  A body
     that raises is rolled back (store pages soft-aborted, mirror
-    rebuilt via the group's rollback hook) and its exception re-raised
-    at the submitter.
+    rebuilt via the store's rollback hook while the batch still holds
+    the commit boundary) and its exception re-raised at the submitter.
 
     While a writer is running, the database must not be driven through
     [begin_tx]/[with_tx] or bare mutators from other threads — the
@@ -1043,12 +1102,8 @@ module Writer = struct
   let start ?max_batch ?queue_cap (db : db) : w =
     check_writable db;
     if in_tx db then fail "writer start inside a transaction";
-    let g =
-      Store.Group.start ?max_batch ?queue_cap
-        ~on_rollback:(fun () -> rebuild_mirror db)
-        db.store
-    in
-    { w_db = db; w_group = g }
+    settle db;
+    { w_db = db; w_group = Store.Group.start ?max_batch ?queue_cap db.store }
 
   (** Run a mutation body in the writer domain; blocks until durable
       and returns [(commit lsn, result)]. *)

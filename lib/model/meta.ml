@@ -144,6 +144,10 @@ let empty () =
   List.iter (fun c -> Hashtbl.replace t.classes c.class_name c) builtin_classes;
   t
 
+(** An independent schema with the same definitions (the definitions
+    themselves are immutable and shared). *)
+let copy t = { classes = Hashtbl.copy t.classes; rels = Hashtbl.copy t.rels }
+
 let find_class t name = Hashtbl.find_opt t.classes name
 let find_rel t name = Hashtbl.find_opt t.rels name
 

@@ -11,7 +11,7 @@
 module SMap = Map.Make (String)
 open Pstore
 
-type t = { oid : int; class_name : string; mutable attrs : Value.t SMap.t }
+type t = { oid : int; class_name : string; attrs : Value.t SMap.t }
 
 let origin_attr = "__origin"
 let destination_attr = "__destination"
@@ -23,7 +23,12 @@ let make ~oid ~class_name attrs =
   { oid; class_name; attrs = List.fold_left (fun m (k, v) -> SMap.add k v m) SMap.empty attrs }
 
 let get (t : t) attr = match SMap.find_opt attr t.attrs with Some v -> v | None -> Value.VNull
-let set (t : t) attr v = t.attrs <- SMap.add attr v t.attrs
+
+(** A copy of [t] with [attr] bound to [v].  Objects are immutable, so a
+    mirror copy can share every [Obj.t] with the handle it was taken
+    from: an update replaces the object instead of mutating it. *)
+let with_attr (t : t) attr v = { t with attrs = SMap.add attr v t.attrs }
+
 let fields (t : t) = SMap.bindings t.attrs
 
 let origin t = Value.as_ref (get t origin_attr)

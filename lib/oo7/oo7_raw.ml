@@ -42,8 +42,8 @@ let get t oid : Obj.t =
       | None -> invalid_arg (Printf.sprintf "raw: no object %d" oid))
 
 let set t oid attr v =
-  let o = get t oid in
-  Obj.set o attr v;
+  let o = Obj.with_attr (get t oid) attr v in
+  Hashtbl.replace t.cache oid o;
   persist t o
 
 let get_attr t oid attr = Obj.get (get t oid) attr

@@ -3,9 +3,11 @@
     The applier owns a {e pager} — not a [Store] — on the replica file:
     applying a delta means replaying foreign page images, and doing that
     under an open store would desync its in-memory directory/heap state.
-    Serving reads is a separate concern: the HTTP side opens its own
-    {e read-only} store/database handle over the same file and refreshes
-    it (under {!with_lock}) when the applied LSN advances.
+    Serving reads is a separate concern: the HTTP side keeps its own
+    {e read-only} database handle over the same file and advances it
+    (under {!with_lock}) by the pages applied since it last looked —
+    the applier records them in [dirty] — or reopens it when the
+    applier starts a new [incarnation].
 
     Apply protocol, per delta: skip if the record's LSN is not ahead of
     the file's; otherwise begin a pager transaction, grow the file to
@@ -66,6 +68,15 @@ module Apply = struct
     mutable applied_records : int;
     mutable snapshots_loaded : int;
     mutable repaired_pages : int;
+    dirty : (int, unit) Hashtbl.t;
+        (* pages written by applied deltas since a reader last took
+           them ({!take_dirty}); page numbers, so bounded by the file's
+           page count *)
+    mutable incarnation : int;
+        (* bumped whenever the file is replaced or repaired in place
+           (snapshot install, re-bootstrap, page repair): a reader's
+           handle from an older incarnation must be reopened, not
+           advanced *)
     m : Mutex.t;
   }
 
@@ -112,8 +123,22 @@ module Apply = struct
       applied_records = 0;
       snapshots_loaded = 0;
       repaired_pages = 0;
+      dirty = Hashtbl.create 64;
+      incarnation = 0;
       m = Mutex.create ();
     }
+
+  (* Under the lock: the file changed wholesale. *)
+  let new_incarnation t =
+    Hashtbl.reset t.dirty;
+    t.incarnation <- t.incarnation + 1
+
+  (** The pages written since the last call, and forget them.  Call
+      under {!with_lock}. *)
+  let take_dirty t =
+    let pages = Hashtbl.fold (fun no () acc -> no :: acc) t.dirty [] in
+    Hashtbl.reset t.dirty;
+    pages
 
   (** Run [f] under the applier mutex.  The HTTP side uses this to
       refresh its read-only store without racing a batch mid-apply. *)
@@ -154,6 +179,7 @@ module Apply = struct
         write_sidecar vfs t.path stream_id;
         t.stream_id <- stream_id;
         t.snapshots_loaded <- t.snapshots_loaded + 1;
+        new_incarnation t;
         Pobs.Metrics.inc m_snapshots_applied;
         let p = Pager.open_file ~vfs t.path in
         if Pager.lsn p <> lsn then
@@ -192,6 +218,7 @@ module Apply = struct
                with e ->
                  (try Pager.abort p with _ -> ());
                  raise e);
+              List.iter (fun (no, _) -> Hashtbl.replace t.dirty no ()) pages;
               t.applied_records <- t.applied_records + 1;
               Pobs.Metrics.inc m_applied_records;
               Pobs.Metrics.addi m_applied_bytes (List.length pages * Pager.page_size);
@@ -243,6 +270,7 @@ module Apply = struct
                raise e);
             List.iter (fun (no, _) -> Pager.unquarantine p no) pages;
             List.iter (fun (no, _) -> Pager.verify_page p no) pages;
+            new_incarnation t;
             t.repaired_pages <- t.repaired_pages + List.length pages;
             Pobs.Metrics.addi m_page_repairs (List.length pages))
 
@@ -266,6 +294,7 @@ module Apply = struct
         | None -> ());
         t.pager <- None;
         t.stream_id <- 0;
+        new_incarnation t;
         write_sidecar t.vfs t.path 0;
         Pobs.Metrics.inc m_repair_failures)
 
@@ -537,6 +566,8 @@ let scrub_repair ?(vfs = Vfs.unix) ~host ~port path :
             applied_records = 0;
             snapshots_loaded = 0;
             repaired_pages = 0;
+            dirty = Hashtbl.create 1;
+            incarnation = 0;
             m = Mutex.create ();
           }
       in

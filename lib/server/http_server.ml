@@ -941,6 +941,8 @@ let serve ?(host = "127.0.0.1") ?max_requests ?stop ?ready ?(readonly = false)
                 ("generation_age_ms", Float ps.Reader_pool.p_age_ms);
                 ("refreshes", Int ps.Reader_pool.p_refreshes);
                 ("refresh_errors", Int ps.Reader_pool.p_refresh_errors);
+                ("last_refresh_error", Str ps.Reader_pool.p_last_refresh_error);
+                ("last_generation_build_ms", Float ps.Reader_pool.p_last_build_ms);
                 ("routed_reads", Int ps.Reader_pool.p_routed);
                 ("catchup_waits", Int ps.Reader_pool.p_catchup_waits);
                 ("draining_generations", Int ps.Reader_pool.p_draining);

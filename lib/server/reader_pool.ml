@@ -1,22 +1,25 @@
 (** A pool of reader domains serving read traffic from frozen
     [Database.snapshot] views.
 
-    The pool holds one {e generation} at a time: a base snapshot of the
-    source plus one [snapshot_clone] per reader domain, all frozen at
-    the same LSN.  A background refresher domain swaps in a new
-    generation whenever the source has moved past the configured lag
-    (or eagerly, when a read presents a newer read-your-writes token);
-    the old generation is released only after its last in-flight
-    request drains.
+    The pool holds one {e generation} at a time: one view, shared by
+    every reader domain, frozen at one LSN.  A view is a copy of the
+    source handle's object mirror taken at a commit boundary — the
+    objects themselves are immutable and shared — so a generation costs
+    one table copy, reads no page and pins no page versions.  A
+    background refresher domain swaps in a new generation whenever the
+    source has moved past the configured lag (or eagerly, when a read
+    presents a newer read-your-writes token); the old generation is
+    released only after its last in-flight request drains.
 
     Read jobs are queued and executed {e inside} the reader domains —
     callers (connection-handler threads) block only on a condition
     variable, so query CPU runs in parallel across domains while the
     accept path stays cheap.
 
-    The source is abstract so the primary server (live database ->
-    [Database.snapshot]) and a replica (read-only reopen under the
-    applier lock) share the exact same routing path. *)
+    The source is abstract so the primary server ({!primary_source}:
+    the live database) and a replica ({!follower_source}: a read-only
+    handle advanced under the applier lock) share the exact same
+    routing path. *)
 
 module Database = Pmodel.Database
 
@@ -28,27 +31,65 @@ type source = {
       (** [src_build n] returns one view per reader, all frozen at a
           single LSN, plus the distinct handles to close when the
           generation retires (views may share a handle). *)
+  src_close : unit -> unit;  (** release what the source holds; called by {!stop} *)
 }
 
-(** Source for a live writable database: a fresh [Database.snapshot]
-    cloned once per reader.  Safe to build while a [Database.Writer]
-    group is running — snapshot creation blocks until the current batch
-    commits. *)
+(* Every reader gets the same view. *)
+let shared n v = (Array.make n v, [ v ])
+
+(** Source for a live writable database: one [Database.snapshot] shared
+    by all readers.  Safe to build while a [Database.Writer] group is
+    running — the copy waits for the current batch's commit boundary. *)
 let primary_source (db : Database.t) : source =
-  (* A freshly created database's schema record sits dirty in the page
-     cache until the first commit ([Database.open_] writes it outside
-     any transaction), and a snapshot frozen before that commit would
-     see no schema at all.  An empty transaction flushes it: pager
-     commits cover every dirty cache page, not just this tx's. *)
-  if not (Pstore.Store.is_readonly (Database.store db)) then
-    Database.with_tx db (fun () -> ());
   {
     src_lsn = (fun () -> Pstore.Store.lsn (Database.store db));
+    src_build = (fun n -> shared n (Database.snapshot db));
+    src_close = ignore;
+  }
+
+(** Source for a replica following a primary through [apply]: one
+    read-only handle per applier incarnation, opened on first use.
+    Each build runs under the applier lock, so no delta is mid-apply:
+    it advances the handle by the pages applied since its LSN
+    ([Database.advance]) and hands out one [Database.snapshot] of it.
+    A new incarnation (snapshot install, re-bootstrap, page repair)
+    reopens the handle — the only full decode on this side. *)
+let follower_source (apply : Prepl.Replica.Apply.t) : source =
+  let module A = Prepl.Replica.Apply in
+  let handle = ref None in
+  let close_handle () =
+    Option.iter (fun (_, db) -> try Database.close db with _ -> ()) !handle;
+    handle := None
+  in
+  {
+    src_lsn =
+      (fun () ->
+        A.with_lock apply (fun () ->
+            match apply.A.pager with Some p -> Pstore.Pager.lsn p | None -> -1));
     src_build =
       (fun n ->
-        let base = Database.snapshot db in
-        let views = Array.init n (fun _ -> Database.snapshot_clone base) in
-        (views, base :: Array.to_list views));
+        A.with_lock apply (fun () ->
+            if apply.A.pager = None then failwith "replica has no database file yet";
+            let pages = A.take_dirty apply in
+            let db =
+              match !handle with
+              | Some (inc, db) when inc = apply.A.incarnation -> (
+                  (* a half-advanced handle has consumed its pages: drop
+                     it, so the next build reopens *)
+                  try
+                    Database.advance db ~pages;
+                    db
+                  with e ->
+                    close_handle ();
+                    raise e)
+              | _ ->
+                  close_handle ();
+                  let db = Database.open_ ~vfs:apply.A.vfs ~readonly:true apply.A.path in
+                  handle := Some (apply.A.incarnation, db);
+                  db
+            in
+            shared n (Database.snapshot db)));
+    src_close = (fun () -> A.with_lock apply close_handle);
   }
 
 (* --- pool --------------------------------------------------------------- *)
@@ -84,6 +125,9 @@ type t = {
   mutable last_refresh_ns : int;
   mutable refreshes : int;
   mutable refresh_errors : int;
+  mutable last_refresh_error : string;
+  logged_errors : (string, unit) Hashtbl.t; (* distinct messages already logged *)
+  mutable last_build_ns : int;
   mutable routed : int;
   mutable catchup_waits : int;
   mutable readers : unit Domain.t array;
@@ -103,6 +147,18 @@ let m_catchup =
 let m_refreshes =
   Pobs.Metrics.counter "pdb_serving_refreshes_total"
     ~help:"Snapshot generation refreshes"
+
+let m_build_ns =
+  Pobs.Metrics.histogram "pdb_serving_generation_build_ns"
+    ~help:"Time to build one snapshot generation (ns)"
+
+(* Build a generation, timed. *)
+let build (src : source) n =
+  let t0 = Pobs.Monotonic.now_ns () in
+  let views, handles = src.src_build n in
+  let ns = Pobs.Monotonic.now_ns () - t0 in
+  Pobs.Metrics.observe_ns m_build_ns ns;
+  (views, handles, ns)
 
 let close_handles (g : gen) =
   List.iter (fun v -> try Database.close v with _ -> ()) g.handles
@@ -124,7 +180,9 @@ let release_gen t (g : gen) =
 (* Each reader domain serves queries for its whole lifetime; a larger
    minor heap keeps the cross-domain stop-the-world minor-GC barrier —
    whose cost multiplies with domain count — off the request path.
-   Gc.set is per-domain in OCaml 5, so this touches nobody else. *)
+   The size is in words: 4 Mi words, i.e. 32 MiB per reader domain on a
+   64-bit host.  Gc.set is per-domain in OCaml 5, so this touches
+   nobody else. *)
 let reader_gc_setup () =
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 }
 
@@ -153,13 +211,20 @@ let set_lsn_gauges t lsn = Array.iter (fun g -> Pobs.Metrics.seti g lsn) t.g_lsn
 (* Build a new generation and swap it in; only the refresher domain
    calls this, so there is never more than one build in flight. *)
 let refresh t =
-  match t.src.src_build t.n with
-  | exception _ ->
+  match build t.src t.n with
+  | exception e ->
+      let msg = Printexc.to_string e in
       Mutex.lock t.mu;
       t.refresh_errors <- t.refresh_errors + 1;
+      t.last_refresh_error <- msg;
       t.want_refresh <- false;
-      Mutex.unlock t.mu
-  | views, handles ->
+      (* each distinct failure is logged once (up to a bounded number
+         of distinct messages); /stats always shows the latest *)
+      let fresh = (not (Hashtbl.mem t.logged_errors msg)) && Hashtbl.length t.logged_errors < 64 in
+      if fresh then Hashtbl.replace t.logged_errors msg ();
+      Mutex.unlock t.mu;
+      if fresh then Printf.eprintf "reader pool: generation build failed: %s\n%!" msg
+  | views, handles, build_ns ->
       let g =
         {
           gen_lsn = Database.view_lsn views.(0);
@@ -174,6 +239,7 @@ let refresh t =
       let old = t.cur in
       t.cur <- g;
       t.refreshes <- t.refreshes + 1;
+      t.last_build_ns <- build_ns;
       t.last_refresh_ns <- Pobs.Monotonic.now_ns ();
       t.want_refresh <- false;
       old.retired <- true;
@@ -203,7 +269,7 @@ let refresher_loop t =
 
 let create ?(max_lag_ms = 50.) ~readers (src : source) : t =
   if readers < 1 then invalid_arg "Reader_pool.create: readers must be >= 1";
-  let views, handles = src.src_build readers in
+  let views, handles, build_ns = build src readers in
   let g0 =
     {
       gen_lsn = Database.view_lsn views.(0);
@@ -233,6 +299,9 @@ let create ?(max_lag_ms = 50.) ~readers (src : source) : t =
       last_refresh_ns = Pobs.Monotonic.now_ns ();
       refreshes = 0;
       refresh_errors = 0;
+      last_refresh_error = "";
+      logged_errors = Hashtbl.create 4;
+      last_build_ns = build_ns;
       routed = 0;
       catchup_waits = 0;
       readers = [||];
@@ -359,7 +428,8 @@ let stop t =
         g.closed <- true)
       to_close;
     Mutex.unlock t.mu;
-    List.iter close_handles to_close
+    List.iter close_handles to_close;
+    t.src.src_close ()
   end
 
 (* --- introspection ------------------------------------------------------ *)
@@ -370,6 +440,8 @@ type pstats = {
   p_age_ms : float;
   p_refreshes : int;
   p_refresh_errors : int;
+  p_last_refresh_error : string;  (** "" until a build fails *)
+  p_last_build_ms : float;  (** build time of the current generation *)
   p_routed : int;
   p_catchup_waits : int;
   p_draining : int;
@@ -384,6 +456,8 @@ let stats t : pstats =
       p_age_ms = float_of_int (Pobs.Monotonic.now_ns () - t.last_refresh_ns) /. 1e6;
       p_refreshes = t.refreshes;
       p_refresh_errors = t.refresh_errors;
+      p_last_refresh_error = t.last_refresh_error;
+      p_last_build_ms = float_of_int t.last_build_ns /. 1e6;
       p_routed = t.routed;
       p_catchup_waits = t.catchup_waits;
       p_draining = List.length t.draining;

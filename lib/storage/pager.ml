@@ -1316,7 +1316,11 @@ let commit_hard t =
   Pobs.Metrics.inc m_commits;
   List.iter (fun r -> fire_record t (Some r)) records
 
-let abort t =
+(** Roll the open transaction back, then run [under_boundary] before
+    the commit-boundary lock is released: state layered over the pager
+    (store components, the object mirror) is resynchronised before any
+    {!at_boundary} caller or snapshot can observe the rolled-back file. *)
+let abort_with t under_boundary =
   if not t.in_tx then fail "abort outside transaction";
   (* Buffered frames are not needed for the rollback: the steal barrier
      syncs the whole buffer before any journaled page reaches the data
@@ -1365,8 +1369,39 @@ let abort t =
   Hashtbl.reset t.tx_touched;
   t.tx_undo <- [];
   t.in_tx <- false;
-  Mutex.unlock t.snap_mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.snap_mu) under_boundary;
   Pobs.Metrics.inc m_aborts
+
+let abort t = abort_with t ignore
+
+(** Run [f lsn] at a commit boundary: under the lock every transaction
+    holds from its begin to its commit or abort, so no transaction is
+    open while [f] runs and [lsn] is the last committed LSN.  Layers
+    above use it to copy in-memory state that must match the store at
+    exactly that LSN. *)
+let at_boundary t f =
+  Mutex.lock t.snap_mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.snap_mu) (fun () -> f t.lsn)
+
+(** Re-synchronise a read-only pager with a file another pager has
+    written since: drop [pages] (and the header) from the cache, then
+    re-read the file size and the header LSN.  The caller guarantees
+    the writer sits between commits, so the file holds committed
+    content only. *)
+let refresh t (pages : int list) =
+  if not t.readonly then fail "refresh: pager is writable";
+  List.iter
+    (fun no ->
+      match Hashtbl.find_opt t.cache no with
+      | Some p ->
+          Hashtbl.remove t.cache no;
+          if t.cfg.logn_evict && no <> 0 then t.lru_map <- Lru.remove p.lru t.lru_map
+      | None -> ())
+    (0 :: pages);
+  let size = io ~op:"size" ~path:t.path (fun () -> t.fd.Vfs.size ()) in
+  t.page_count <- max ((size + page_size - 1) / page_size) 1;
+  if size > 0 then
+    t.lsn <- Int64.to_int (Bytes.get_int64_le (load_page t 0).data lsn_header_off)
 
 let close t =
   if t.in_tx then abort t;

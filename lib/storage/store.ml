@@ -43,6 +43,11 @@ type t = {
   mutable next_oid : int;
   mutable tx_depth : int; (* supports nested begin via counting *)
   mutable group_active : bool; (* a Group writer domain owns the write path *)
+  mutable on_rollback : unit -> unit;
+      (* run after every rollback (an abort, a group body's soft abort),
+         once the store's components are rebuilt and before the commit
+         boundary is released — lets layers stacked on the store (the
+         Database mirror) resynchronise where no snapshot can see them *)
   path : string;
 }
 
@@ -144,6 +149,7 @@ let open_ ?cache_pages ?config ?(vfs = Vfs.unix) ?readonly path =
     next_oid = hdr_read_next_oid pager;
     tx_depth = 0;
     group_active = false;
+    on_rollback = ignore;
     path;
   }
 
@@ -163,6 +169,17 @@ let is_readonly t = Pager.is_readonly t.pager
 let set_redo_hook t f = Pager.set_redo_hook t.pager f
 
 let clear_redo_hook t = Pager.clear_redo_hook t.pager
+
+(** Install the rollback hook (see the [on_rollback] field). *)
+let set_rollback_hook t f = t.on_rollback <- f
+
+(* In-memory component state may be stale after a page restore (cached
+   btree root, heap free-space map). *)
+let rebuild_components t =
+  let heap, dir = build_components t.pager in
+  t.heap <- heap;
+  t.dir <- dir;
+  t.next_oid <- max t.next_oid (hdr_read_next_oid t.pager)
 
 (* --- transactions ---------------------------------------------------------- *)
 
@@ -200,16 +217,15 @@ let commit t =
 let abort t =
   if t.tx_depth <= 0 then fail "abort outside transaction";
   t.tx_depth <- 0;
-  Pager.abort t.pager;
   Pobs.Metrics.inc m_tx_aborts;
-  (* In-memory state may be stale after rollback: rebuild.  Keep the
-     in-memory oid high-water mark: rollback restores the header's
-     pre-transaction value, but oids handed out since must stay
-     retired. *)
-  let heap, dir = build_components t.pager in
-  t.heap <- heap;
-  t.dir <- dir;
-  t.next_oid <- max t.next_oid (hdr_read_next_oid t.pager)
+  (* In-memory state may be stale after rollback: rebuild it, and let
+     the layers above resynchronise, before the boundary is released.
+     Keep the in-memory oid high-water mark: rollback restores the
+     header's pre-transaction value, but oids handed out since must
+     stay retired. *)
+  Pager.abort_with t.pager (fun () ->
+      rebuild_components t;
+      t.on_rollback ())
 
 let close t =
   if t.tx_depth > 0 then abort t;
@@ -273,6 +289,28 @@ let delete t ~oid : bool =
 (** Iterate all records in oid order. *)
 let iter t (f : int -> string -> unit) =
   Btree.iter t.dir (fun k rid -> f (Int64.to_int k) (Heap.get t.heap rid))
+
+(** Walk the oid -> rid directory in oid order without reading any
+    record; {!record} fetches one. *)
+let directory t (f : int -> Heap.rid -> unit) =
+  Btree.iter t.dir (fun k rid -> f (Int64.to_int k) rid)
+
+let record t (rid : Heap.rid) : string = Heap.get t.heap rid
+
+(** Run [f lsn] at a commit boundary (see {!Pager.at_boundary}).
+    Rejected with a transaction open on this store — the caller would
+    wait on itself — except while a {!Group} writer owns the write
+    path, where the open transaction belongs to the writer domain. *)
+let at_boundary t f =
+  if in_tx t && not t.group_active then fail "snapshot inside a transaction";
+  Pager.at_boundary t.pager f
+
+(** Catch a read-only store up with a file another handle has written:
+    drop [pages] from the page cache (see {!Pager.refresh}) and rebuild
+    the directory and heap over the new header. *)
+let refresh t ~(pages : int list) =
+  Pager.refresh t.pager pages;
+  rebuild_components t
 
 let count t = Btree.cardinal t.dir
 
@@ -486,11 +524,6 @@ module Group = struct
     q_cv : Condition.t;
     q_cap : int;
     max_batch : int;
-    on_rollback : (unit -> unit) option;
-        (* called in the writer domain after any store rollback (a job
-           soft-abort or a failed hard commit), once the store's own
-           components are rebuilt — lets layers stacked on the store
-           (the Database mirror) resynchronise *)
     mutable g_stopping : bool;
     mutable g_dead : exn option; (* writer died; submissions now fail *)
     mutable g_writer : unit Domain.t option;
@@ -530,13 +563,9 @@ module Group = struct
               (j, Ok lsn)
           | exception e ->
               Pager.soft_abort t.pager;
-              (* In-memory component state may be stale after the page
-                 restore (cached btree root, heap free-space map). *)
-              let heap, dir = build_components t.pager in
-              t.heap <- heap;
-              t.dir <- dir;
-              t.next_oid <- max t.next_oid (hdr_read_next_oid t.pager);
-              (match g.on_rollback with Some f -> f () | None -> ());
+              (* the batch still holds the boundary: resynchronise here *)
+              rebuild_components t;
+              t.on_rollback ();
               g.g_aborts <- g.g_aborts + 1;
               (j, Error e))
         jobs
@@ -555,7 +584,6 @@ module Group = struct
             (* Durability failed: nothing in this batch committed. *)
             t.tx_depth <- 1;
             (try abort t with _ -> ());
-            (match g.on_rollback with Some f -> (try f () with _ -> ()) | None -> ());
             List.iter (fun (j, _) -> finish j (Error e)) results;
             raise e)
     | exception e ->
@@ -597,7 +625,7 @@ module Group = struct
         Mutex.unlock g.q_mu;
         List.iter (fun j -> finish j (Error e)) (List.rev orphans)
 
-  let start ?(max_batch = 32) ?(queue_cap = 256) ?on_rollback (t : store) : g =
+  let start ?(max_batch = 32) ?(queue_cap = 256) (t : store) : g =
     if in_tx t then fail "group start inside a transaction";
     if t.group_active then fail "group already running on this store";
     if max_batch < 1 || queue_cap < 1 then fail "group: bad configuration";
@@ -609,7 +637,6 @@ module Group = struct
         q_cv = Condition.create ();
         q_cap = queue_cap;
         max_batch;
-        on_rollback;
         g_stopping = false;
         g_dead = None;
         g_writer = None;

@@ -387,6 +387,149 @@ let test_ext_hammer () =
   D.close view;
   D.close db
 
+(* --- 8. views under a group writer: all or nothing ------------------ *)
+
+let vint i = Pmodel.Value.VInt i
+
+let int_attr db oid attr =
+  match D.get_attr db oid attr with Pmodel.Value.VInt n -> n | _ -> min_int
+
+(* Every view taken while a [Writer] commits multi-object bodies — some
+   of which raise and roll back — holds each body's objects, links and
+   update entirely or not at all, and its index agrees with an extent
+   scan. *)
+let test_writer_atomicity () =
+  let fs = F.create () in
+  let db = D.open_ ~vfs:(F.vfs fs) "mvcc8.db" in
+  let attr = Pmodel.Meta.attr in
+  ignore (D.define_class db "Part" [ attr "body" Pmodel.Value.TInt; attr "k" Pmodel.Value.TInt ]);
+  ignore (D.define_rel db "joins" ~origin:"Part" ~destination:"Part");
+  D.create_index db "Part" "body";
+  let marker = D.with_tx db (fun () -> D.create db "Part" [ ("body", vint (-1)); ("k", vint (-1)) ]) in
+  let w = D.Writer.start db in
+  let per_body = 3 and n_submitters = 2 and bodies = 40 in
+  let vetoed b = b mod 4 = 3 in
+  let stop = Atomic.make false in
+  let checker =
+    Domain.spawn (fun () ->
+        let views = ref 0 and bad = ref [] in
+        let fail fmt = Printf.ksprintf (fun m -> bad := m :: !bad) fmt in
+        while not (Atomic.get stop) do
+          let v = D.snapshot db in
+          incr views;
+          let parts = D.extent v "Part" in
+          let by_body = Hashtbl.create 64 in
+          D.OidSet.iter
+            (fun oid ->
+              let b = int_attr v oid "body" in
+              if b >= 0 then
+                Hashtbl.replace by_body b
+                  (oid :: Option.value ~default:[] (Hashtbl.find_opt by_body b)))
+            parts;
+          Hashtbl.iter
+            (fun b oids ->
+              if List.length oids <> per_body then
+                fail "lsn %d: body %d has %d of %d objects" (D.view_lsn v) b (List.length oids)
+                  per_body;
+              if vetoed b then fail "lsn %d: rolled-back body %d visible" (D.view_lsn v) b;
+              let links =
+                List.fold_left
+                  (fun n oid -> n + List.length (D.outgoing v ~rel_name:"joins" oid))
+                  0 oids
+              in
+              if links <> per_body - 1 then fail "body %d has %d links" b links;
+              match D.index_lookup v "Part" "body" (vint b) with
+              | Some s when D.OidSet.equal s (D.OidSet.of_list oids) -> ()
+              | _ -> fail "body %d: index disagrees with the extent scan" b)
+            by_body;
+          (* the marker's update belongs to the newest body in the view *)
+          let k = int_attr v marker "k" in
+          if k >= 0 && not (Hashtbl.mem by_body k) then
+            fail "lsn %d: marker names body %d, which the view lacks" (D.view_lsn v) k;
+          (match D.index_range v "Part" "body" () with
+          | Some s when D.OidSet.equal s parts -> ()
+          | _ -> fail "lsn %d: index range differs from the extent" (D.view_lsn v));
+          D.close v
+        done;
+        (!views, !bad))
+  in
+  let submitters =
+    List.init n_submitters (fun s ->
+        Domain.spawn (fun () ->
+            for i = 0 to bodies - 1 do
+              let b = (s * bodies) + i in
+              match
+                D.Writer.submit w (fun db ->
+                    let oids =
+                      List.init per_body (fun j ->
+                          D.create db "Part" [ ("body", vint b); ("k", vint j) ])
+                    in
+                    List.iteri
+                      (fun j o ->
+                        if j > 0 then
+                          ignore (D.link db "joins" ~origin:(List.nth oids (j - 1)) ~destination:o))
+                      oids;
+                    D.update db marker "k" (vint b);
+                    if vetoed b then failwith "veto")
+              with
+              | _ -> ()
+              | exception Failure _ -> ()
+            done))
+  in
+  List.iter Domain.join submitters;
+  Atomic.set stop true;
+  let views, bad = Domain.join checker in
+  D.Writer.stop w;
+  Alcotest.(check (list string)) "every view all-or-nothing" [] (List.rev bad);
+  Alcotest.(check bool) "views were taken" true (views > 0);
+  let committed = List.filter (fun b -> not (vetoed b)) (List.init (n_submitters * bodies) Fun.id) in
+  Alcotest.(check int) "live handle holds the committed bodies"
+    ((List.length committed * per_body) + 1)
+    (D.count db "Part");
+  Alcotest.(check int) "views pin no page versions" 0
+    (S.stats ~count_objects:false (D.store db)).S.pinned_versions;
+  D.close db
+
+(* --- 9. copy-on-write: later writes never reach a view ---------------- *)
+
+let test_copy_on_write () =
+  let fs = F.create () in
+  let db = mk_db fs "mvcc9.db" in
+  ignore (D.define_rel db "next" ~origin:value_cls ~destination:value_cls);
+  let oids = Array.of_list (D.extent_list db value_cls) in
+  let a = oids.(0) and b = oids.(1) and c = oids.(2) and d = oids.(3) in
+  let rel = D.with_tx db (fun () -> D.link db "next" ~origin:a ~destination:b) in
+  let v = D.snapshot db in
+  let lsn = D.view_lsn v in
+  let n_a = int_attr db a "n" in
+  D.with_tx db (fun () ->
+      D.update db a "n" (vint 1000);
+      D.retarget db rel ~destination:c ();
+      D.delete db d);
+  (* the live handle moved on *)
+  Alcotest.(check int) "live update" 1000 (int_attr db a "n");
+  Alcotest.(check (list int)) "live relink" [ c ]
+    (List.map Pmodel.Obj.destination (D.outgoing db ~rel_name:"next" a));
+  Alcotest.(check bool) "live delete" true (D.get db d = None);
+  (* the view did not *)
+  Alcotest.(check int) "view keeps the old value" n_a (int_attr v a "n");
+  Alcotest.(check bool) "view index keeps the old key" true
+    (match D.index_lookup v value_cls "n" (vint n_a) with
+    | Some s -> D.OidSet.mem a s
+    | None -> false);
+  Alcotest.(check bool) "view index lacks the new key" true
+    (match D.index_lookup v value_cls "n" (vint 1000) with
+    | Some s -> D.OidSet.is_empty s
+    | None -> false);
+  Alcotest.(check (list int)) "view keeps the old link" [ b ]
+    (List.map Pmodel.Obj.destination (D.outgoing v ~rel_name:"next" a));
+  Alcotest.(check int) "view: new destination has no incoming link" 0
+    (List.length (D.incoming v ~rel_name:"next" c));
+  Alcotest.(check bool) "view keeps the deleted object" true (D.get v d <> None);
+  Alcotest.(check int) "view lsn unchanged" lsn (D.view_lsn v);
+  D.close v;
+  D.close db
+
 (* ---------------------------------------------------------------------- *)
 
 let () =
@@ -398,6 +541,9 @@ let () =
             test_frozen_lsn;
           Alcotest.test_case "database view across domains" `Quick test_database_view;
           Alcotest.test_case "version-chain reclamation" `Quick test_version_reclamation;
+          Alcotest.test_case "views under a writer are all-or-nothing" `Quick
+            test_writer_atomicity;
+          Alcotest.test_case "copy-on-write views" `Quick test_copy_on_write;
         ] );
       ( "group-commit",
         [

@@ -565,6 +565,141 @@ let test_connect_bad_host () =
   | exception L.Link_down _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Follower: an advanced read-only handle equals a fresh open          *)
+(* ------------------------------------------------------------------ *)
+
+module D = Pmodel.Database
+module Meta = Pmodel.Meta
+module Value = Pmodel.Value
+
+(* Everything a query can observe of a database, in a canonical order. *)
+let dump (db : D.t) =
+  let objs = ref [] in
+  D.iter_objects db (fun o ->
+      objs := (o.Pmodel.Obj.oid, o.Pmodel.Obj.class_name, Pmodel.Obj.fields o) :: !objs);
+  let objs = List.sort compare !objs in
+  let schema = D.schema db in
+  let classes = List.sort compare (Meta.classes schema) in
+  let rels = List.sort compare (Meta.rels schema) in
+  let names =
+    List.map (fun (c : Meta.class_def) -> c.Meta.class_name) classes
+    @ List.map (fun (r : Meta.rel_def) -> r.Meta.rel_name) rels
+  in
+  let extents = List.map (fun n -> (n, D.extent_list db ~deep:false n)) names in
+  let adjacency =
+    List.map
+      (fun (oid, _, _) ->
+        ( List.sort compare (List.map (fun (r : Pmodel.Obj.t) -> r.Pmodel.Obj.oid) (D.rels_of db oid)),
+          D.OidSet.elements (D.synonym_set db oid) ))
+      objs
+  in
+  (objs, classes, rels, extents, adjacency)
+
+(* A seeded mix of creates, updates (blob-sized too), deletes, links,
+   relinks, unlinks and synonyms on the primary, a schema change and a
+   re-bootstrap part-way; after every applied record the follower
+   source's view must equal a fresh read-only open of the replica. *)
+let test_follower_equivalence () =
+  let fs = F.create ~seed:(seed + 11) () in
+  let vfs = F.vfs fs in
+  let rng = Random.State.make [| seed; 11 |] in
+  let db = D.open_ ~vfs "fp.db" in
+  let records = Queue.create () in
+  S.set_redo_hook (D.store db) (fun r -> Queue.add r records);
+  D.with_tx db (fun () ->
+      ignore
+        (D.define_class db "Item"
+           [ Meta.attr "n" Value.TInt; Meta.attr "text" Value.TString ]);
+      ignore (D.define_rel db "Next" ~origin:"Item" ~destination:"Item"));
+  let text () =
+    (* one in four records spills into a blob chain *)
+    if Random.State.int rng 4 = 0 then String.make (3600 + Random.State.int rng 6000) 'b'
+    else String.make (Random.State.int rng 40) 't'
+  in
+  let create cls =
+    ignore (D.create db cls [ ("n", Value.VInt (Random.State.int rng 100)); ("text", Value.VString (text ())) ])
+  in
+  D.with_tx db (fun () ->
+      for _ = 1 to 30 do
+        create "Item"
+      done);
+  let ap = R.Apply.create ~vfs "fr.db" in
+  let stream_id = ref 1 in
+  let bootstrap () =
+    R.Apply.install_snapshot ap ~stream_id:!stream_id ~lsn:(S.lsn (D.store db))
+      ~data:(file_bytes vfs "fp.db");
+    incr stream_id;
+    Queue.clear records
+  in
+  bootstrap ();
+  let src = Pserver.Reader_pool.follower_source ap in
+  let checks = ref 0 in
+  let check what =
+    let views, _ = src.Pserver.Reader_pool.src_build 2 in
+    let fresh = R.Apply.with_lock ap (fun () -> D.open_ ~vfs ~readonly:true "fr.db") in
+    Alcotest.(check int) (what ^ ": view lsn") (R.Apply.last_lsn ap) (D.view_lsn views.(0));
+    if dump views.(0) <> dump fresh then Alcotest.failf "%s: follower view differs from a fresh open" what;
+    incr checks;
+    D.close fresh
+  in
+  check "bootstrap";
+  let pick cls =
+    match D.extent_list db cls with
+    | [] -> None
+    | l -> Some (List.nth l (Random.State.int rng (List.length l)))
+  in
+  let steps = if long_mode then 120 else 40 in
+  for step = 1 to steps do
+    if step = steps / 3 then
+      D.with_tx db (fun () ->
+          ignore (D.define_class db ~supers:[ "Item" ] "Extra" [ Meta.attr "tag" Value.TString ]);
+          create "Extra")
+    else if step = 2 * steps / 3 then begin
+      (* the replica misses some records, then the applier replaces the
+         file with a newer image: the follower must reopen, not advance *)
+      D.with_tx db (fun () ->
+          create "Item";
+          Option.iter (D.delete db) (pick "Item"));
+      bootstrap ();
+      check (Printf.sprintf "step %d re-bootstrap" step)
+    end
+    else
+      D.with_tx db (fun () ->
+          match Random.State.int rng 8 with
+          | 0 | 1 -> create (if step > steps / 3 && Random.State.bool rng then "Extra" else "Item")
+          | 2 ->
+              Option.iter
+                (fun o -> D.update db o "text" (Value.VString (text ())))
+                (pick "Item")
+          | 3 ->
+              Option.iter (fun o -> D.update db o "n" (Value.VInt (Random.State.int rng 100))) (pick "Item")
+          | 4 -> Option.iter (D.delete db) (pick "Item")
+          | 5 -> (
+              match (pick "Item", pick "Item") with
+              | Some a, Some b -> ignore (D.link db "Next" ~origin:a ~destination:b)
+              | _ -> ())
+          | 6 -> (
+              match (pick "Next", pick "Item") with
+              | Some r, Some b when Random.State.bool rng -> D.retarget db r ~destination:b ()
+              | Some r, _ -> D.unlink db r
+              | None, _ -> ())
+          | _ -> (
+              match (pick "Item", pick "Item") with
+              | Some a, Some b when a <> b -> D.declare_synonym db a b
+              | _ -> ()));
+    (* apply every record the step produced, checking after each *)
+    while not (Queue.is_empty records) do
+      let r = Queue.pop records in
+      ignore (R.Apply.apply_delta ap ~lsn:r.P.lsn ~pages:r.P.pages);
+      check (Printf.sprintf "step %d lsn %d" step r.P.lsn)
+    done
+  done;
+  Alcotest.(check bool) "checked after many records" true (!checks > steps / 2);
+  src.Pserver.Reader_pool.src_close ();
+  R.Apply.close ap;
+  D.close db
+
+(* ------------------------------------------------------------------ *)
 (* Live TCP pair: bootstrap, stream, reconnect                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -754,6 +889,8 @@ let () =
           Alcotest.test_case "lsn gap rejected" `Quick test_apply_gap_rejected;
           Alcotest.test_case "connect to bad host is Link_down" `Quick
             test_connect_bad_host;
+          Alcotest.test_case "follower view equals a fresh open" `Quick
+            test_follower_equivalence;
         ] );
       ( "tcp",
         [ Alcotest.test_case "live pair: bootstrap, stream, reconnect" `Slow test_tcp_pair ] );

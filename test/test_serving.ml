@@ -344,6 +344,51 @@ let test_pool_survives_raising () =
             | Pserver.Reader_pool.Behind _ -> Alcotest.fail "unexpected Behind"
           done))
 
+(* A generation build that fails keeps the old generation serving, and
+   the failure is counted and kept for /stats, not swallowed. *)
+let test_refresh_error_reported () =
+  let path = tmp_path () in
+  let db = Database.open_ path in
+  Taxonomy.Tax_schema.install db;
+  Fun.protect
+    ~finally:(fun () ->
+      Database.close db;
+      cleanup path)
+    (fun () ->
+      let base = Pserver.Reader_pool.primary_source db in
+      let builds = ref 0 in
+      let src =
+        {
+          base with
+          Pserver.Reader_pool.src_build =
+            (fun n ->
+              incr builds;
+              if !builds > 1 then failwith "source unavailable" else base.Pserver.Reader_pool.src_build n);
+        }
+      in
+      let pool = Pserver.Reader_pool.create ~readers:1 ~max_lag_ms:5. src in
+      Fun.protect
+        ~finally:(fun () -> Pserver.Reader_pool.stop pool)
+        (fun () ->
+          let lsn0 = Pserver.Reader_pool.lsn pool in
+          Database.with_tx db (fun () ->
+              ignore (Database.create db "Taxon" [ ("rank", Value.VString "genus") ]));
+          let deadline = Unix.gettimeofday () +. 5. in
+          while
+            (Pserver.Reader_pool.stats pool).Pserver.Reader_pool.p_refresh_errors = 0
+            && Unix.gettimeofday () < deadline
+          do
+            Thread.delay 0.01
+          done;
+          let st = Pserver.Reader_pool.stats pool in
+          Alcotest.(check bool) "failed build counted" true (st.Pserver.Reader_pool.p_refresh_errors >= 1);
+          Alcotest.(check string) "failure kept" "Failure(\"source unavailable\")"
+            st.Pserver.Reader_pool.p_last_refresh_error;
+          match Pserver.Reader_pool.read pool (fun v -> Database.view_lsn v) with
+          | Pserver.Reader_pool.Served (l, _) ->
+              Alcotest.(check int) "old generation still serves" lsn0 l
+          | Pserver.Reader_pool.Behind _ -> Alcotest.fail "unexpected Behind"))
+
 (* The HTTP face of the same property: a malformed query is a 400, and
    the next query on the same pool is a clean 200. *)
 let test_bad_query_then_good () =
@@ -426,6 +471,9 @@ let test_serving_stats () =
       Alcotest.(check bool)
         "group writes counted" true
         (json_int body "group_writes" >= 1);
+      Alcotest.(check bool) "generation build time reported" true
+        (contains body "\"last_generation_build_ms\":");
+      Alcotest.(check bool) "no refresh error" true (contains body "\"last_refresh_error\":\"\"");
       let r = get port taxon_query in
       Alcotest.(check (option string)) "pool route header" (Some "pool")
         (header_of r "X-PDB-Route"))
@@ -447,6 +495,7 @@ let () =
       ( "faults",
         [
           Alcotest.test_case "pool survives raising job" `Quick test_pool_survives_raising;
+          Alcotest.test_case "failed build reported" `Quick test_refresh_error_reported;
           Alcotest.test_case "bad query then good" `Quick test_bad_query_then_good;
         ] );
       ( "slowloris",
