@@ -313,16 +313,28 @@ let apply_slowlog = function
   | Some ms -> Pobs.Slowlog.set_threshold_ms ms
   | None -> ()
 
-let readers_arg ~default =
+let readers_arg =
   Arg.(
     value
-    & opt int default
+    & opt (some int) None
     & info [ "readers" ] ~docv:"N"
         ~doc:
           "Snapshot-serving reader domains. With $(docv) > 0, GET traffic is \
            served from frozen snapshot views refreshed at the configured lag \
-           and mutations batch through the group-commit writer; 0 keeps the \
-           legacy single-threaded path.")
+           and mutations batch through the group-commit writer. A plain \
+           $(b,pdb serve) defaults to 0, the legacy single-threaded path; \
+           $(b,serve --cluster) and $(b,replica) default to 1 and reject 0, \
+           as they have no legacy path.")
+
+(* Cluster nodes and replicas serve from the reader pool alone: there is
+   no legacy path for --readers 0 to select. *)
+let pool_readers ~what = function
+  | None -> 1
+  | Some n when n >= 1 -> n
+  | Some _ ->
+      Printf.eprintf "pdb %s: --readers must be at least 1 (0 applies to a plain pdb serve only)\n"
+        what;
+      exit 2
 
 let max_lag_arg =
   Arg.(
@@ -386,6 +398,7 @@ let serve_cmd =
       | `Http, _ -> None
     in
     if cluster then begin
+      let readers = pool_readers ~what:"serve --cluster" readers in
       let rport =
         match primary with
         | Some r -> r
@@ -398,7 +411,7 @@ let serve_cmd =
         match binary_port with Some p -> p | None -> (if port = 0 then 0 else port + 1)
       in
       let node =
-        Pcluster.Promote.create_leading ~readers:(max 1 readers) ~max_lag_ms
+        Pcluster.Promote.create_leading ~readers ~max_lag_ms
           ~path:file ~host:"127.0.0.1" ~repl_port:rport ()
       in
       Fun.protect
@@ -409,7 +422,7 @@ let serve_cmd =
     with_db file (fun db ->
         match primary with
         | None ->
-            Pserver.Http_server.serve db ~port ~readers ~max_lag_ms ~max_conns ?binary_port ()
+            Pserver.Http_server.serve db ~port ?readers ~max_lag_ms ~max_conns ?binary_port ()
         | Some rport ->
             let feed = Prepl.Feed.create (Database.store db) in
             let srv = Prepl.Feed.serve feed ~port:rport in
@@ -420,7 +433,7 @@ let serve_cmd =
                 Prepl.Feed.stop_server srv;
                 Prepl.Feed.detach feed)
               (fun () ->
-                Pserver.Http_server.serve db ~port ~readers ~max_lag_ms ~max_conns ?binary_port
+                Pserver.Http_server.serve db ~port ?readers ~max_lag_ms ~max_conns ?binary_port
                   ~repl_status:(fun () -> Prepl.Feed.status_json feed)
                   ()))
   in
@@ -428,7 +441,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc:"Serve the database over HTTP (optionally as a replication primary).")
     Term.(
       const run $ db_arg $ port_arg $ primary $ proto $ binary_port $ max_conns $ slowlog_arg
-      $ readers_arg ~default:0 $ max_lag_arg $ cluster)
+      $ readers_arg $ max_lag_arg $ cluster)
 
 let replica_cmd =
   let from =
@@ -476,64 +489,36 @@ let replica_cmd =
   let run file from port slowlog_ms scrub_every_s readers max_lag_ms promotable serve_repl
       binary_port =
     apply_slowlog slowlog_ms;
-    match promotable with
-    | Some rport -> (
-        let bport =
-          match binary_port with Some b -> b | None -> (if port = 0 then 0 else port + 1)
-        in
-        match
-          Pcluster.Promote.create_following ~readers:(max 1 readers) ~max_lag_ms
-            ~cascade:serve_repl ~path:file ~host:"127.0.0.1" ~repl_port:rport
-            ~upstream:from ()
-        with
-        | Error e ->
-            Printf.eprintf "pdb replica: %s\n" e;
-            exit 1
-        | Ok node ->
-            Fun.protect
-              ~finally:(fun () -> Pcluster.Promote.shutdown node)
-              (fun () -> Pcluster.Promote.serve node ~binary_port:bport ~port ()))
-    | None ->
-    let host, rport = parse_host_port ~what:"replica" from in
-    let sess = Prepl.Replica.start ?scrub_every_s ~host ~port:rport file in
-    let apply = sess.Prepl.Replica.apply in
-    (* Wait for the bootstrap snapshot before serving: until it lands
-       there is no database file to open. *)
-    while
-      Prepl.Replica.Apply.with_lock apply (fun () ->
-          apply.Prepl.Replica.Apply.pager = None)
-    do
-      Thread.delay 0.05
-    done;
-    (* Replica serving goes through the same snapshot-routing path as
-       the primary: a reader pool whose generations are copies of a
-       read-only handle advanced under the applier lock, so requests
-       never race delta apply, and a client's X-PDB-Min-LSN token is
-       answered honestly (catch-up wait, then 503) instead of from a
-       handle the applier is rewriting. *)
-    let pool =
-      Pserver.Reader_pool.create ~max_lag_ms ~readers:(max 1 readers)
-        (Pserver.Reader_pool.follower_source apply)
+    let readers = pool_readers ~what:"replica" readers in
+    let host, uport = parse_host_port ~what:"replica" from in
+    (* Without --promotable no binary port is opened, so no Ping/Ctl verb
+       can reach the node and it never leaves the follower role. *)
+    let rport, binary_port, cascade =
+      match promotable with
+      | Some rport ->
+          let bport = match binary_port with Some b -> b | None -> if port = 0 then 0 else port + 1 in
+          (rport, Some bport, serve_repl)
+      | None -> (0, None, false)
     in
-    let db =
-      Prepl.Replica.Apply.with_lock apply (fun () -> Database.open_ ~readonly:true file)
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Prepl.Replica.stop sess;
-        Pserver.Reader_pool.stop pool;
-        try Database.close db with _ -> ())
-      (fun () ->
-        Pserver.Http_server.serve db ~port ~readonly:true ~pool
-          ~repl_status:(fun () -> Prepl.Replica.status_json sess)
-          ())
+    match
+      Pcluster.Promote.create_following ~readers ~max_lag_ms ~cascade ?scrub_every_s
+        ~path:file ~host:"127.0.0.1" ~repl_port:rport
+        ~upstream:(Printf.sprintf "%s:%d" host uport) ()
+    with
+    | Error e ->
+        Printf.eprintf "pdb replica: %s\n" e;
+        exit 1
+    | Ok node ->
+        Fun.protect
+          ~finally:(fun () -> Pcluster.Promote.shutdown node)
+          (fun () -> Pcluster.Promote.serve node ?binary_port ~port ())
   in
   Cmd.v
     (Cmd.info "replica"
        ~doc:"Follow a primary's replication feed and serve the replica read-only over HTTP.")
     Term.(
       const run $ db_arg $ from $ port_arg $ slowlog_arg $ scrub_interval
-      $ readers_arg ~default:1 $ max_lag_arg $ promotable $ serve_repl $ binary_port)
+      $ readers_arg $ max_lag_arg $ promotable $ serve_repl $ binary_port)
 
 (* --- router ---------------------------------------------------------------- *)
 

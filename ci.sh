@@ -138,6 +138,72 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
     || fail "perfbench fleet smoke (--trace $trace) failed: $fleet_verdict"
 done
 
+# replica smoke: `--readers 0` is a usage error on a replica and a
+# cluster node; a plain (non-promotable) `pdb replica` follows a
+# `pdb serve --primary`, serves a write made on the primary within a
+# bounded wait, reports role "replica" in /repl, and both processes exit
+# 0 on SIGTERM.  Python stands in for an HTTP client.
+serving_re='serving on http://127.0.0.1:\([0-9]*\)/.*'
+
+# banner_port LOG RE — wait (bounded) for a banner line in LOG and print
+# the port RE captures; empty if none appears.
+banner_port() {
+  for _ in $(seq 200); do
+    port="$(sed -n "s|.*$2|\1|p" "$1")"
+    [ -n "$port" ] && { echo "$port"; return; }
+    sleep 0.05
+  done
+}
+
+replica_smoke() {
+  dir="$(mktemp -d)"
+  pdb=_build/default/bin/pdb.exe
+  # no legacy path exists for --readers 0 on a replica or cluster node
+  for cmd in "replica $dir/x.db --from 127.0.0.1:1" "serve $dir/x.db --cluster --primary 0"; do
+    rc=0
+    "$pdb" $cmd --readers 0 2>/dev/null || rc=$?
+    [ "$rc" = 2 ] || fail "replica smoke: pdb $cmd --readers 0 exited $rc, want 2"
+  done
+  "$pdb" demo "$dir/p.db" >/dev/null
+  "$pdb" serve "$dir/p.db" -p 0 --primary 0 >"$dir/p.log" 2>&1 &
+  primary=$!
+  replica=
+  smoke_fail() {
+    kill -KILL "$primary" $replica 2>/dev/null || true
+    fail "replica smoke: $*"
+  }
+  feed="$(banner_port "$dir/p.log" 'replication feed on port \([0-9]*\).*')"
+  pport="$(banner_port "$dir/p.log" "$serving_re")"
+  [ -n "$feed" ] && [ -n "$pport" ] || smoke_fail "primary did not start: $(cat "$dir/p.log")"
+  "$pdb" replica "$dir/r.db" --from "127.0.0.1:$feed" -p 0 >"$dir/r.log" 2>&1 &
+  replica=$!
+  rport="$(banner_port "$dir/r.log" "$serving_re")"
+  [ -n "$rport" ] || smoke_fail "replica did not start: $(cat "$dir/r.log")"
+  python3 - "$pport" "$rport" <<'EOF' || smoke_fail "see above"
+import json, sys, time, urllib.parse, urllib.request
+p, r = sys.argv[1], sys.argv[2]
+def call(port, path, method="GET"):
+    req = urllib.request.Request("http://127.0.0.1:%s%s" % (port, path), method=method)
+    with urllib.request.urlopen(req, timeout=5) as resp:
+        return resp.read().decode()
+call(p, "/create?class=Taxon&rank=cismoke", "POST")
+q = "/query?q=" + urllib.parse.quote("select t.rank from Taxon t where t.rank = 'cismoke'")
+deadline = time.time() + 20
+while call(r, q).strip() != '["cismoke"]':
+    if time.time() > deadline:
+        sys.exit("write not visible on the replica within 20 s")
+    time.sleep(0.05)
+role = json.loads(call(r, "/repl"))["role"]
+sys.exit(0 if role == "replica" else "/repl role is %r" % role)
+EOF
+  kill -TERM "$replica" "$primary"
+  wait "$replica" || smoke_fail "replica exited $? on SIGTERM"
+  wait "$primary" || fail "replica smoke: primary exited $? on SIGTERM"
+  rm -rf "$dir"
+}
+
+replica_smoke
+
 # the bench smoke must leave the committed trajectory records untouched
 [ "$(records_digest)" = "$digest_before" ] \
   || fail "bench smoke clobbered committed trajectory records"

@@ -4,11 +4,13 @@
     A {!node} wraps one database file and is, at any moment, either
     {e leading} (read-write, publishing a {!Prepl.Feed}) or
     {e following} (read-only, applying a {!Prepl.Replica} session from
-    an upstream feed).  The HTTP/binary front-end reads its serving
-    context from an {!Atomic.t} cell per request, so a role flip is one
-    [Atomic.set]: tear down the old machinery, build the new, swap the
-    context — in-flight requests finish against the old context, the
-    next request sees the new role.
+    an upstream feed).  The node owns what each role serves from — its
+    reader pool and, while leading, the group-commit writer — and is the
+    one place a replica is brought up.  The HTTP/binary front-end reads
+    its serving context from an {!Atomic.t} cell per request, so a role
+    flip is one [Atomic.set]: tear down the old machinery, build the
+    new, swap the context — in-flight requests finish against the old
+    context, the next request sees the new role.
 
     Promotion mints a fresh feed (and with it a fresh random stream id,
     via {!Prepl.Feed.create}).  A deposed primary that later rejoins as
@@ -52,12 +54,9 @@ type state =
       l_feed : Feed.t;
       l_fsrv : Feed.server;
       l_pool : Reader_pool.t;
+      l_writer : Database.Writer.w;
     }
-  | Following of {
-      f_sess : Replica.session;
-      f_db : Database.t; (* read-only view for non-pool paths *)
-      f_pool : Reader_pool.t;
-    }
+  | Following of { f_sess : Replica.session; f_pool : Reader_pool.t }
 
 type node = {
   n_path : string;
@@ -66,6 +65,7 @@ type node = {
   n_readers : int;
   n_max_lag_ms : float;
   n_cascade : bool;
+  n_scrub_every_s : float option; (* in-session scrub period while following *)
   n_cell : Http_server.ctx Atomic.t;
   nm : Mutex.t; (* serialises role transitions *)
   cm : Mutex.t; (* guards [n_cascade_state] only — session callbacks use it *)
@@ -164,10 +164,135 @@ let detach_cascade_hooks (sess : Replica.session) =
   sess.Replica.on_snapshot <- (fun ~stream_id:_ ~lsn:_ ~image:_ -> ())
 
 (* ------------------------------------------------------------------ *)
+(* Role states                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Open [path] read-write and bring up everything a leading node owns:
+   a fresh feed (fresh stream id), the group-commit writer and a
+   primary-sourced reader pool. *)
+let start_leading ~path ~host ~repl_port ~readers ~max_lag_ms : state =
+  let db = Database.open_ path in
+  let feed = Feed.create (Database.store db) in
+  let fsrv = Feed.serve feed ~host ~port:repl_port in
+  let writer = Database.Writer.start db in
+  let pool = Reader_pool.create ~max_lag_ms ~readers (Reader_pool.primary_source db) in
+  Leading { l_db = db; l_feed = feed; l_fsrv = fsrv; l_pool = pool; l_writer = writer }
+
+(* Start a replica session from [uhost:uport] into [path] and, once its
+   bootstrap lands, the follower-sourced reader pool, whose source
+   holds the node's one read-only handle on the file. *)
+let start_following ~path ~readers ~max_lag_ms ~scrub_every_s ~uhost ~uport :
+    (state, string) result =
+  let sess = Replica.start ?scrub_every_s ~host:uhost ~port:uport path in
+  if not (wait_bootstrap sess) then begin
+    (try Replica.stop sess with _ -> ());
+    Error (Printf.sprintf "bootstrap from %s:%d timed out" uhost uport)
+  end
+  else
+    let source = Reader_pool.follower_source sess.Replica.apply in
+    Ok (Following { f_sess = sess; f_pool = Reader_pool.create ~max_lag_ms ~readers source })
+
+(* Stop everything [st] owns.  The cascade hooks go FIRST: the session
+   thread must not call into a feed we are about to stop. *)
+let stop_state node = function
+  | Leading l ->
+      (try Database.Writer.stop l.l_writer with _ -> ());
+      (try Feed.stop_server l.l_fsrv with _ -> ());
+      (try Feed.detach l.l_feed with _ -> ());
+      (try Reader_pool.stop l.l_pool with _ -> ());
+      (try Database.close l.l_db with _ -> ())
+  | Following f ->
+      detach_cascade_hooks f.f_sess;
+      stop_cascade node;
+      (try Replica.stop f.f_sess with _ -> ());
+      (try Reader_pool.stop f.f_pool with _ -> ())
+
+(* The serving context of a state: its pool, and its writer when
+   leading. *)
+let context : state -> Http_server.ctx = function
+  | Leading l ->
+      {
+        Http_server.x_mode = Pooled { pool = l.l_pool; writer = Some l.l_writer };
+        x_readonly = false;
+        x_repl_status = Some (fun () -> Feed.status_json l.l_feed);
+      }
+  | Following f ->
+      {
+        Http_server.x_mode = Pooled { pool = f.f_pool; writer = None };
+        x_readonly = true;
+        x_repl_status = Some (fun () -> Replica.status_json f.f_sess);
+      }
+
+(* Make [st] the node's state and serve it; a cascading follower also
+   republishes what it applies. *)
+let enter node st =
+  node.n_state <- st;
+  (match st with
+  | Following f when node.n_cascade -> attach_cascade node f.f_sess
+  | Leading _ | Following _ -> ());
+  Atomic.set node.n_cell (context st)
+
+let feed_addr node =
+  match node.n_state with
+  | Leading l -> Ok (Printf.sprintf "%s:%d" node.n_host l.l_fsrv.Feed.port)
+  | Following _ -> Error "not leading"
+
+(* ------------------------------------------------------------------ *)
 (* Role transitions                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let rec hooks (node : node) : Http_server.cluster_hooks =
+(** Flip this node to primary.  Idempotent when already leading.  Under
+    the transition lock: stop the replica session and its reader pool,
+    reopen the file read-write, mint a fresh feed (fresh stream id),
+    start a writer and a primary-sourced reader pool, swap the serving
+    context.  Returns the feed address followers should chain from. *)
+let promote (node : node) : (string, string) result =
+  with_nm node (fun () ->
+      match node.n_state with
+      | Leading _ -> feed_addr node
+      | Following _ as st -> (
+          try
+            Pobs.Metrics.inc m_promotions;
+            stop_state node st;
+            enter node
+              (start_leading ~path:node.n_path ~host:node.n_host ~repl_port:node.n_repl_port
+                 ~readers:node.n_readers ~max_lag_ms:node.n_max_lag_ms);
+            node.n_transitions <- node.n_transitions + 1;
+            feed_addr node
+          with e -> Error ("promote failed: " ^ Printexc.to_string e)))
+
+(** Flip this node to follower of [upstream] ("host:port" of a feed).
+    Used both to demote a deposed primary and to re-point a replica at a
+    newly elected one.  The old primary's stale stream id makes its
+    replication [Hello] resolve to a full snapshot — byte-identical
+    convergence with the new incarnation. *)
+let follow (node : node) ~(upstream : string) : (string, string) result =
+  match parse_addr upstream with
+  | Error e -> Error e
+  | Ok (uhost, uport) ->
+      with_nm node (fun () ->
+          match node.n_state with
+          | Following f when f.f_sess.Replica.host = uhost && f.f_sess.Replica.port = uport ->
+              Ok "already following"
+          | st -> (
+              try
+                (match st with
+                | Leading _ -> Pobs.Metrics.inc m_demotions
+                | Following _ -> ());
+                stop_state node st;
+                match
+                  start_following ~path:node.n_path ~readers:node.n_readers
+                    ~max_lag_ms:node.n_max_lag_ms ~scrub_every_s:node.n_scrub_every_s ~uhost
+                    ~uport
+                with
+                | Error e -> Error e
+                | Ok st ->
+                    enter node st;
+                    node.n_transitions <- node.n_transitions + 1;
+                    Ok (Printf.sprintf "following %s:%d" uhost uport)
+              with e -> Error ("follow failed: " ^ Printexc.to_string e)))
+
+let hooks (node : node) : Http_server.cluster_hooks =
   {
     Http_server.c_role =
       (fun () ->
@@ -198,253 +323,62 @@ let rec hooks (node : node) : Http_server.cluster_hooks =
         | _ -> Error (Printf.sprintf "unknown control verb %S" verb));
   }
 
-(** Flip this node to primary.  Idempotent when already leading.  Under
-    the transition lock: stop the replica session and its serving
-    machinery, reopen the file read-write, mint a fresh feed (fresh
-    stream id), start a writer and a primary-sourced reader pool, swap
-    the serving context.  Returns the feed address followers should
-    chain from. *)
-and promote (node : node) : (string, string) result =
-  with_nm node (fun () ->
-      match node.n_state with
-      | Leading l -> Ok (Printf.sprintf "%s:%d" node.n_host l.l_fsrv.Feed.port)
-      | Following f -> (
-          try
-            Pobs.Metrics.inc m_promotions;
-            (* Detach the cascade hooks FIRST: the session thread must
-               not call into a feed we are about to stop. *)
-            detach_cascade_hooks f.f_sess;
-            stop_cascade node;
-            (try Replica.stop f.f_sess with _ -> ());
-            (try Reader_pool.stop f.f_pool with _ -> ());
-            (try Database.close f.f_db with _ -> ());
-            let old = Atomic.get node.n_cell in
-            (match old.Http_server.x_writer with
-            | Some w -> ( try Database.Writer.stop w with _ -> ())
-            | None -> ());
-            let db = Database.open_ node.n_path in
-            let feed = Feed.create (Database.store db) in
-            let fsrv = Feed.serve feed ~host:node.n_host ~port:node.n_repl_port in
-            let writer = Database.Writer.start db in
-            let pool =
-              Reader_pool.create ~max_lag_ms:node.n_max_lag_ms
-                ~readers:node.n_readers
-                (Reader_pool.primary_source db)
-            in
-            let ctx =
-              {
-                old with
-                Http_server.x_db = db;
-                x_readonly = false;
-                x_repl_status = Some (fun () -> Feed.status_json feed);
-                x_pool = Some pool;
-                x_writer = Some writer;
-                x_cluster = Some (hooks node);
-              }
-            in
-            Atomic.set node.n_cell ctx;
-            node.n_state <- Leading { l_db = db; l_feed = feed; l_fsrv = fsrv; l_pool = pool };
-            node.n_transitions <- node.n_transitions + 1;
-            Ok (Printf.sprintf "%s:%d" node.n_host fsrv.Feed.port)
-          with e -> Error ("promote failed: " ^ Printexc.to_string e)))
-
-(** Flip this node to follower of [upstream] ("host:port" of a feed).
-    Used both to demote a deposed primary and to re-point a replica at a
-    newly elected one.  The old primary's stale stream id makes its
-    replication [Hello] resolve to a full snapshot — byte-identical
-    convergence with the new incarnation. *)
-and follow (node : node) ~(upstream : string) : (string, string) result =
-  match parse_addr upstream with
-  | Error e -> Error e
-  | Ok (uhost, uport) ->
-      with_nm node (fun () ->
-          match node.n_state with
-          | Following f
-            when f.f_sess.Replica.host = uhost && f.f_sess.Replica.port = uport
-            ->
-              Ok "already following"
-          | st -> (
-              try
-                (match st with
-                | Leading l ->
-                    Pobs.Metrics.inc m_demotions;
-                    (match (Atomic.get node.n_cell).Http_server.x_writer with
-                    | Some w -> ( try Database.Writer.stop w with _ -> ())
-                    | None -> ());
-                    (try Feed.stop_server l.l_fsrv with _ -> ());
-                    (try Feed.detach l.l_feed with _ -> ());
-                    (try Reader_pool.stop l.l_pool with _ -> ());
-                    (try Database.close l.l_db with _ -> ())
-                | Following f ->
-                    detach_cascade_hooks f.f_sess;
-                    stop_cascade node;
-                    (try Replica.stop f.f_sess with _ -> ());
-                    (try Reader_pool.stop f.f_pool with _ -> ());
-                    (try Database.close f.f_db with _ -> ()));
-                setup_following node ~uhost ~uport
-              with e -> Error ("follow failed: " ^ Printexc.to_string e)))
-
-(* Bring up the follower machinery toward [uhost:uport].  Caller holds
-   the transition lock and has torn the previous state down. *)
-and setup_following (node : node) ~uhost ~uport : (string, string) result =
-  let sess = Replica.start ~host:uhost ~port:uport node.n_path in
-  if not (wait_bootstrap sess) then begin
-    (try Replica.stop sess with _ -> ());
-    Error (Printf.sprintf "bootstrap from %s:%d timed out" uhost uport)
-  end
-  else begin
-    let apply = sess.Replica.apply in
-    let pool =
-      Reader_pool.create ~max_lag_ms:node.n_max_lag_ms ~readers:node.n_readers
-        (Reader_pool.follower_source apply)
-    in
-    let db =
-      Replica.Apply.with_lock apply (fun () ->
-          Database.open_ ~readonly:true node.n_path)
-    in
-    if node.n_cascade then attach_cascade node sess;
-    let old = Atomic.get node.n_cell in
-    let ctx =
-      {
-        old with
-        Http_server.x_db = db;
-        x_readonly = true;
-        x_repl_status = Some (fun () -> Replica.status_json sess);
-        x_pool = Some pool;
-        x_writer = None;
-        x_cluster = Some (hooks node);
-      }
-    in
-    Atomic.set node.n_cell ctx;
-    node.n_state <- Following { f_sess = sess; f_db = db; f_pool = pool };
-    node.n_transitions <- node.n_transitions + 1;
-    Ok (Printf.sprintf "following %s:%d" uhost uport)
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Construction and serving                                            *)
 (* ------------------------------------------------------------------ *)
 
-let create_leading ?(readers = 2) ?(max_lag_ms = 50.) ?(cascade = false) ~path
-    ~host ~repl_port () : node =
-  let db = Database.open_ path in
-  let feed = Feed.create (Database.store db) in
-  let fsrv = Feed.serve feed ~host ~port:repl_port in
-  let pool =
-    Reader_pool.create ~max_lag_ms ~readers (Reader_pool.primary_source db)
-  in
-  let ctx0 =
+let make_node ~readers ~max_lag_ms ~cascade ~scrub_every_s ~path ~host ~repl_port st : node =
+  let node =
     {
-      Http_server.x_db = db;
-      x_readonly = false;
-      x_repl_status = Some (fun () -> Feed.status_json feed);
-      x_pool = Some pool;
-      x_writer = None; (* the HTTP server starts its own at serve time *)
-      x_serving = None;
-      x_cluster = None;
+      n_path = path;
+      n_host = host;
+      n_repl_port = repl_port;
+      n_readers = readers;
+      n_max_lag_ms = max_lag_ms;
+      n_cascade = cascade;
+      n_scrub_every_s = scrub_every_s;
+      n_cell = Atomic.make (context st);
+      nm = Mutex.create ();
+      cm = Mutex.create ();
+      n_cascade_state = None;
+      n_state = st;
+      n_transitions = 0;
     }
   in
-  {
-    n_path = path;
-    n_host = host;
-    n_repl_port = repl_port;
-    n_readers = readers;
-    n_max_lag_ms = max_lag_ms;
-    n_cascade = cascade;
-    n_cell = Atomic.make ctx0;
-    nm = Mutex.create ();
-    cm = Mutex.create ();
-    n_cascade_state = None;
-    n_state = Leading { l_db = db; l_feed = feed; l_fsrv = fsrv; l_pool = pool };
-    n_transitions = 0;
-  }
+  enter node st;
+  node
 
-let create_following ?(readers = 2) ?(max_lag_ms = 50.) ?(cascade = false)
-    ~path ~host ~repl_port ~upstream () : (node, string) result =
+(** A node leading the database at [path], publishing its feed on
+    [repl_port].  The node owns its pool and writer until {!shutdown}. *)
+let create_leading ~readers ?(max_lag_ms = 50.) ?(cascade = false) ~path ~host ~repl_port () :
+    node =
+  make_node ~readers ~max_lag_ms ~cascade ~scrub_every_s:None ~path ~host ~repl_port
+    (start_leading ~path ~host ~repl_port ~readers ~max_lag_ms)
+
+(** A node following the feed at [upstream] into [path], once its
+    bootstrap lands ({!wait_bootstrap}'s timeout otherwise).
+    [scrub_every_s] is the replica sessions' background-scrub period,
+    kept across {!follow}. *)
+let create_following ~readers ?(max_lag_ms = 50.) ?(cascade = false) ?scrub_every_s ~path
+    ~host ~repl_port ~upstream () : (node, string) result =
   match parse_addr upstream with
   | Error e -> Error e
   | Ok (uhost, uport) ->
-      let sess = Replica.start ~host:uhost ~port:uport path in
-      if not (wait_bootstrap sess) then begin
-        (try Replica.stop sess with _ -> ());
-        Error (Printf.sprintf "bootstrap from %s timed out" upstream)
-      end
-      else begin
-        let apply = sess.Replica.apply in
-        let pool = Reader_pool.create ~max_lag_ms ~readers (Reader_pool.follower_source apply) in
-        let db =
-          Replica.Apply.with_lock apply (fun () ->
-              Database.open_ ~readonly:true path)
-        in
-        let ctx0 =
-          {
-            Http_server.x_db = db;
-            x_readonly = true;
-            x_repl_status = Some (fun () -> Replica.status_json sess);
-            x_pool = Some pool;
-            x_writer = None;
-            x_serving = None;
-            x_cluster = None;
-          }
-        in
-        let node =
-          {
-            n_path = path;
-            n_host = host;
-            n_repl_port = repl_port;
-            n_readers = readers;
-            n_max_lag_ms = max_lag_ms;
-            n_cascade = cascade;
-            n_cell = Atomic.make ctx0;
-            nm = Mutex.create ();
-            cm = Mutex.create ();
-            n_cascade_state = None;
-            n_state = Following { f_sess = sess; f_db = db; f_pool = pool };
-            n_transitions = 0;
-          }
-        in
-        if cascade then attach_cascade node sess;
-        Ok node
-      end
+      start_following ~path ~readers ~max_lag_ms ~scrub_every_s ~uhost ~uport
+      |> Result.map
+           (make_node ~readers ~max_lag_ms ~cascade ~scrub_every_s ~path ~host ~repl_port)
 
-(** Serve the node's HTTP + binary front-end.  Blocks like
-    {!Pserver.Http_server.serve}; the cluster hooks and the swappable
-    context cell are wired in, so a [Ctl] verb arriving on the binary
-    port can flip the node's role while this serve loop keeps running. *)
-let serve ?max_requests ?stop ?ready ?binary_port ?binary_ready (node : node)
-    ~port () =
-  match node.n_state with
-  | Leading l ->
-      Http_server.serve ~host:node.n_host ?max_requests ?stop ?ready
-        ?binary_port ?binary_ready
-        ~repl_status:(fun () -> Feed.status_json l.l_feed)
-        ~pool:l.l_pool ~cluster:(hooks node) ~ctx_cell:node.n_cell l.l_db ~port
-        ()
-  | Following f ->
-      Http_server.serve ~host:node.n_host ?max_requests ?stop ?ready
-        ?binary_port ?binary_ready ~readonly:true
-        ~repl_status:(fun () -> Replica.status_json f.f_sess)
-        ~pool:f.f_pool ~cluster:(hooks node) ~ctx_cell:node.n_cell f.f_db ~port
-        ()
+(** Serve the node's HTTP (+ binary, with [?binary_port]) front-end.
+    Blocks like {!Pserver.Http_server.serve_cell}; the cluster hooks and
+    the swappable context cell are wired in, so a [Ctl] verb arriving on
+    the binary port can flip the node's role while this serve loop keeps
+    running. *)
+let serve ?max_requests ?stop ?ready ?binary_port ?binary_ready (node : node) ~port () =
+  Http_server.serve_cell ~host:node.n_host ?max_requests ?stop ?ready ?binary_port
+    ?binary_ready ~cluster:(hooks node) node.n_cell ~port ()
 
 (** Tear the node down after its serve loop exits. *)
-let shutdown (node : node) =
-  with_nm node (fun () ->
-      match node.n_state with
-      | Leading l ->
-          (match (Atomic.get node.n_cell).Http_server.x_writer with
-          | Some w -> ( try Database.Writer.stop w with _ -> ())
-          | None -> ());
-          (try Feed.stop_server l.l_fsrv with _ -> ());
-          (try Feed.detach l.l_feed with _ -> ());
-          (try Reader_pool.stop l.l_pool with _ -> ());
-          (try Database.close l.l_db with _ -> ())
-      | Following f ->
-          detach_cascade_hooks f.f_sess;
-          stop_cascade node;
-          (try Replica.stop f.f_sess with _ -> ());
-          (try Reader_pool.stop f.f_pool with _ -> ());
-          (try Database.close f.f_db with _ -> ()))
+let shutdown (node : node) = with_nm node (fun () -> stop_state node node.n_state)
 
 (* ------------------------------------------------------------------ *)
 (* Router-side election                                                *)

@@ -27,27 +27,29 @@
     the client asks for it (HTTP/1.1 default, or an explicit
     [Connection: keep-alive]) and framed by [Content-Length].
 
-    Two execution modes:
+    A serving context ({!ctx}) has one of two shapes ({!mode}):
 
-    {b Legacy} ([readers = 0], the default): one worker thread — all
-    handlers run single-threaded against the live handle, mutations
-    inside [Database.with_tx].  This is the mode the object layer's
-    single-user heritage assumes, kept bit-compatible for tests and
-    small deployments; the event loop still multiplexes any number of
-    concurrent connections onto that one executor.
+    {b Live} ([readers = 0], the default of {!serve}): one worker
+    thread — all handlers run single-threaded against the live handle,
+    mutations inside [Database.with_tx].  This is the mode the object
+    layer's single-user heritage assumes, kept bit-compatible for tests
+    and small deployments; the event loop still multiplexes any number
+    of concurrent connections onto that one executor.
 
-    {b Snapshot serving} ([readers = N > 0], or an explicit [?pool]):
-    GET traffic is routed to a {!Reader_pool} of N reader domains, each
-    holding a frozen [Database.snapshot] view refreshed at a bounded
-    LSN lag; mutations are funnelled through a [Database.Writer] group
-    so concurrent HTTP writers share fsync cycles.  Read-your-writes:
-    every mutating response carries an [X-PDB-LSN] header; a GET
-    presenting [X-PDB-Min-LSN] waits (bounded) for a refresh to catch
-    up or falls through to the primary handle, serialised with the
-    write stream.  Responses state their route in [X-PDB-Route]
-    ([pool] or [primary]).  A read-only replica given an external
-    [?pool] serves the same way but answers 503 when it cannot catch up
-    to a client's token.
+    {b Pooled} ([readers = N > 0], or a cluster node's context served
+    through {!serve_cell}): GET traffic is routed to a {!Reader_pool}
+    of N reader domains sharing a frozen [Database.snapshot] view
+    refreshed at a bounded LSN lag; mutations are funnelled through a
+    [Database.Writer] group so concurrent HTTP writers share fsync
+    cycles.  A pooled context holds no live handle: what the pool
+    cannot serve (an unknown path) answers 404, and the only route to
+    the live database is the writer.  Read-your-writes: every mutating
+    response carries an [X-PDB-LSN] header; a GET presenting
+    [X-PDB-Min-LSN] waits (bounded) for a refresh to catch up or falls
+    through to the writer, serialised with the write stream.  Responses
+    state their route in [X-PDB-Route] ([pool] or [primary]).  A
+    read-only replica's context has no writer, so it answers 503 when
+    it cannot catch up to a client's token.
 
     {b Binary protocol}: [?binary_port] opens a second listener
     speaking {!Binary_proto} — length-prefixed CRC-framed Query/Batch
@@ -543,19 +545,23 @@ type cluster_hooks = {
   c_ctl : verb:string -> arg:string -> (string, string) result;
 }
 
-(* Everything a request handler needs; one value per [serve] call,
-   shared by all worker threads.  Handlers fetch the current ctx from
-   an [Atomic.t] per request, so a cluster node can swap its whole
-   serving role (replica -> primary) in place without restarting the
-   event loop. *)
+(** What a context serves from: the live handle itself, or a reader
+    pool plus — on a writable node — the group-commit writer that owns
+    the live handle.  The shapes exclude each other by type, so a pooled
+    node never holds a second decoded copy of its database. *)
+type mode =
+  | Live of Database.t
+  | Pooled of { pool : Reader_pool.t; writer : Database.Writer.w option }
+
+(* Everything a request handler needs, shared by all worker threads.
+   Handlers fetch the current ctx from an [Atomic.t] per request, so a
+   cluster node can swap its whole serving role (replica -> primary) in
+   place without restarting the event loop.  Whoever builds a ctx owns
+   its pool and writer and stops them. *)
 type ctx = {
-  x_db : Database.t;
+  x_mode : mode;
   x_readonly : bool;
   x_repl_status : (unit -> string) option;
-  x_pool : Reader_pool.t option;
-  x_writer : Database.Writer.w option;
-  x_serving : (unit -> Pobs.Json.t) option;
-  x_cluster : cluster_hooks option;
 }
 
 (* A handler's verdict, before HTTP serialisation. *)
@@ -576,7 +582,57 @@ let pool_routable = function
 
 let lsn_header lsn = ("X-PDB-LSN", string_of_int lsn)
 
-let serve_get (x : ctx) path params headers : answer =
+(* The /stats "serving" section: the context's pool and writer, when it
+   has them, then [loop] — the event loop's counters, always present. *)
+let serving_json (x : ctx) loop : Pobs.Json.t =
+  let open Pobs.Json in
+  let cnt c = Int (int_of_float (Pobs.Metrics.counter_value c)) in
+  let pool_part, writer =
+    match x.x_mode with
+    | Live _ -> ([], None)
+    | Pooled { pool; writer } ->
+        Reader_pool.update_metrics pool;
+        let ps = Reader_pool.stats pool in
+        let p99 =
+          let v = Pobs.Metrics.hist_quantile m_request_ns 0.99 /. 1e6 in
+          Float (if Float.is_nan v then 0. else v)
+        in
+        ( [
+            ("readers", Int ps.Reader_pool.p_readers);
+            ("generation_lsn", Int ps.Reader_pool.p_gen_lsn);
+            ("generation_age_ms", Float ps.Reader_pool.p_age_ms);
+            ("refreshes", Int ps.Reader_pool.p_refreshes);
+            ("refresh_errors", Int ps.Reader_pool.p_refresh_errors);
+            ("last_refresh_error", Str ps.Reader_pool.p_last_refresh_error);
+            ("last_generation_build_ms", Float ps.Reader_pool.p_last_build_ms);
+            ("routed_reads", Int ps.Reader_pool.p_routed);
+            ("catchup_waits", Int ps.Reader_pool.p_catchup_waits);
+            ("draining_generations", Int ps.Reader_pool.p_draining);
+            ("fallthroughs", cnt m_fallthrough);
+            ("request_p99_ms", p99);
+          ],
+          writer )
+  in
+  let group =
+    match writer with
+    | None -> []
+    | Some w ->
+        let gs = Database.Writer.stats w in
+        [
+          ( "group",
+            Obj
+              [
+                ("batches", Int gs.Pstore.Store.Group.batches);
+                ("commits", Int gs.Pstore.Store.Group.commits);
+                ("aborts", Int gs.Pstore.Store.Group.aborts);
+                ("queued", Int gs.Pstore.Store.Group.queued);
+                ("group_writes", cnt m_group_writes);
+              ] );
+        ]
+  in
+  Obj (pool_part @ group @ loop ())
+
+let serve_get ~loop (x : ctx) path params headers : answer =
   let content_type =
     if path = "/repl" then "application/json; charset=utf-8" else content_type_of_path path
   in
@@ -584,73 +640,70 @@ let serve_get (x : ctx) path params headers : answer =
     { a_status = status; a_content_type = content_type; a_extra = extra; a_body = body }
   in
   let timed f = Pobs.Metrics.time m_request_ns f in
-  match (path, x.x_repl_status) with
-  | "/repl", Some f -> mk (timed (fun () -> ("200 OK", f () ^ "\n")))
-  | _ -> (
-      match x.x_pool with
-      | Some pool when pool_routable path -> (
-          let min_lsn =
-            Option.bind (List.assoc_opt "x-pdb-min-lsn" headers) int_of_string_opt
-          in
-          match
-            Reader_pool.read pool ?min_lsn (fun view ->
-                timed (fun () -> handle ?serving:x.x_serving view path params))
-          with
-          | Reader_pool.Served (sb, lsn) ->
-              mk ~extra:[ lsn_header lsn; ("X-PDB-Route", "pool") ] sb
-          | Reader_pool.Behind best -> (
-              match x.x_writer with
-              | Some w -> (
-                  (* Primary fallthrough: run the read in the writer
-                     domain, serialised with the mutation stream — the
-                     only safe way to touch the live handle. *)
-                  Pobs.Metrics.inc m_fallthrough;
-                  let lsn, r =
-                    Database.Writer.read w (fun live ->
-                        timed (fun () -> handle ?serving:x.x_serving live path params))
-                  in
-                  match r with
-                  | Ok sb -> mk ~extra:[ lsn_header lsn; ("X-PDB-Route", "primary") ] sb
-                  | Error e ->
-                      plain "500 Internal Server Error" (Printexc.to_string e ^ "\n"))
-              | None ->
-                  (* A replica has no primary handle to fall through
-                     to: be honest about the lag. *)
-                  plain
-                    ~extra:[ lsn_header best; ("Retry-After", "1") ]
-                    "503 Service Unavailable"
-                    (Printf.sprintf "behind: serving lsn %d\n" best))
-          | exception Reader_pool.Stopped ->
-              plain "503 Service Unavailable" "shutting down\n"
-          | exception e ->
-              plain "500 Internal Server Error" (Printexc.to_string e ^ "\n"))
-      | _ ->
-          let sb = timed (fun () -> handle ?serving:x.x_serving x.x_db path params) in
-          let extra =
-            match x.x_pool with
-            | None -> [ lsn_header (Pstore.Store.lsn (Database.store x.x_db)) ]
-            | Some _ -> []
-          in
-          mk ~extra sb)
+  let serving () = serving_json x loop in
+  match (path, x.x_repl_status, x.x_mode) with
+  | "/repl", Some f, _ -> mk (timed (fun () -> ("200 OK", f () ^ "\n")))
+  | _, _, Live db ->
+      let sb = timed (fun () -> handle ~serving db path params) in
+      mk ~extra:[ lsn_header (Pstore.Store.lsn (Database.store db)) ] sb
+  | _, _, Pooled _ when not (pool_routable path) -> mk ("404 Not Found", "not found\n")
+  | _, _, Pooled { pool; writer } -> (
+      let min_lsn = Option.bind (List.assoc_opt "x-pdb-min-lsn" headers) int_of_string_opt in
+      match
+        Reader_pool.read pool ?min_lsn (fun view ->
+            timed (fun () -> handle ~serving view path params))
+      with
+      | Reader_pool.Served (sb, lsn) -> mk ~extra:[ lsn_header lsn; ("X-PDB-Route", "pool") ] sb
+      | Reader_pool.Behind best -> (
+          match writer with
+          | Some w -> (
+              (* Primary fallthrough: run the read in the writer
+                 domain, serialised with the mutation stream — the
+                 only safe way to touch the live handle. *)
+              Pobs.Metrics.inc m_fallthrough;
+              let lsn, r =
+                Database.Writer.read w (fun live ->
+                    timed (fun () -> handle ~serving live path params))
+              in
+              match r with
+              | Ok sb -> mk ~extra:[ lsn_header lsn; ("X-PDB-Route", "primary") ] sb
+              | Error e -> plain "500 Internal Server Error" (Printexc.to_string e ^ "\n"))
+          | None ->
+              (* A replica has no primary handle to fall through
+                 to: be honest about the lag. *)
+              plain
+                ~extra:[ lsn_header best; ("Retry-After", "1") ]
+                "503 Service Unavailable"
+                (Printf.sprintf "behind: serving lsn %d\n" best))
+      | exception Reader_pool.Stopped -> plain "503 Service Unavailable" "shutting down\n"
+      | exception e -> plain "500 Internal Server Error" (Printexc.to_string e ^ "\n"))
+
+let read_only = plain "403 Forbidden" "read-only replica\n"
 
 let serve_mutation (x : ctx) path params : answer =
-  match parse_mutation path params with
+  let commit =
+    match x.x_mode with
+    | Live db ->
+        Some
+          (fun mut ->
+            let body = Database.with_tx db (fun () -> apply_mutation db mut) in
+            (Pstore.Store.lsn (Database.store db), body))
+    | Pooled { writer = Some w; _ } ->
+        (* Group-commit routing: the body runs in the writer domain as
+           one soft transaction; concurrent HTTP writers share the
+           batch's single fsync. *)
+        Some
+          (fun mut ->
+            let r = Database.Writer.submit w (fun live -> apply_mutation live mut) in
+            Pobs.Metrics.inc m_group_writes;
+            r)
+    | Pooled { writer = None; _ } -> None
+  in
+  match (commit, parse_mutation path params) with
   | exception Bad_param m -> plain "400 Bad Request" ("error: " ^ m ^ "\n")
-  | mut -> (
-      match
-        Pobs.Metrics.time m_request_ns (fun () ->
-            match x.x_writer with
-            | Some w ->
-                (* Group-commit routing: the body runs in the writer
-                   domain as one soft transaction; concurrent HTTP
-                   writers share the batch's single fsync. *)
-                let lsn, body = Database.Writer.submit w (fun live -> apply_mutation live mut) in
-                Pobs.Metrics.inc m_group_writes;
-                (lsn, body)
-            | None ->
-                let body = Database.with_tx x.x_db (fun () -> apply_mutation x.x_db mut) in
-                (Pstore.Store.lsn (Database.store x.x_db), body))
-      with
+  | None, _ -> read_only
+  | Some commit, mut -> (
+      match Pobs.Metrics.time m_request_ns (fun () -> commit mut) with
       | lsn, body -> plain ~extra:[ lsn_header lsn ] "200 OK" body
       | exception Database.Model_error m -> plain "400 Bad Request" ("error: " ^ m ^ "\n")
       | exception Pstore.Store.Group.Stopped ->
@@ -660,23 +713,23 @@ let serve_mutation (x : ctx) path params : answer =
 (* Dispatch one parsed HTTP request to an answer.  [m_requests] counts
    every routed request — a pipelined connection is as many requests
    as it carries, not one. *)
-let dispatch (x : ctx) (r : http_req) : answer =
+let dispatch ~loop (x : ctx) (r : http_req) : answer =
   if r.r_bad then plain "400 Bad Request" "bad request\n"
   else
     match r.r_meth with
     | "GET" ->
         let path, params = split_target r.r_target in
         Pobs.Metrics.inc m_requests;
-        serve_get x path params r.r_headers
-    | _ when x.x_readonly -> plain "403 Forbidden" "read-only replica\n"
+        serve_get ~loop x path params r.r_headers
+    | _ when x.x_readonly -> read_only
     | "POST" when List.mem (fst (split_target r.r_target)) write_paths ->
         let path, params = split_target r.r_target in
         Pobs.Metrics.inc m_requests;
         serve_mutation x path params
     | _ -> plain "405 Method Not Allowed" "GET only\n"
 
-let execute_http (x : ctx) (r : http_req) : Event_loop.response =
-  let a = dispatch x r in
+let execute_http ~loop (x : ctx) (r : http_req) : Event_loop.response =
+  let a = dispatch ~loop x r in
   let keep_alive = r.r_keep_alive && not r.r_bad in
   {
     Event_loop.rsp_data =
@@ -700,13 +753,13 @@ let run_query (x : ctx) (q : string) : (string, string) result =
     | exception e -> Error (Printexc.to_string e)
   in
   Pobs.Metrics.inc m_bin_queries;
-  match x.x_pool with
-  | None -> on x.x_db
-  | Some pool -> (
+  match x.x_mode with
+  | Live db -> on db
+  | Pooled { pool; writer } -> (
       match Reader_pool.read pool (fun view -> on view) with
       | Reader_pool.Served (r, _) -> r
       | Reader_pool.Behind best -> (
-          match x.x_writer with
+          match writer with
           | Some w -> (
               Pobs.Metrics.inc m_fallthrough;
               match Database.Writer.read w (fun live -> on live) with
@@ -716,7 +769,7 @@ let run_query (x : ctx) (q : string) : (string, string) result =
       | exception Reader_pool.Stopped -> Error "shutting down"
       | exception e -> Error (Printexc.to_string e))
 
-let execute_bin (x : ctx) (f : Binary_proto.frame) : Event_loop.response =
+let execute_bin ~loop ?cluster (x : ctx) (f : Binary_proto.frame) : Event_loop.response =
   let answer (id, q) : string =
     let frame =
       match run_query x q with
@@ -756,7 +809,7 @@ let execute_bin (x : ctx) (f : Binary_proto.frame) : Event_loop.response =
           r_bad = false;
         }
       in
-      let a = dispatch x r in
+      let a = dispatch ~loop x r in
       let status =
         match int_of_string_opt (String.sub a.a_status 0 (min 3 (String.length a.a_status))) with
         | Some s -> s
@@ -774,7 +827,7 @@ let execute_bin (x : ctx) (f : Binary_proto.frame) : Event_loop.response =
            })
   | Binary_proto.Ping { id } ->
       let pong =
-        match x.x_cluster with
+        match cluster with
         | Some c ->
             Binary_proto.Pong
               {
@@ -789,14 +842,17 @@ let execute_bin (x : ctx) (f : Binary_proto.frame) : Event_loop.response =
               {
                 id;
                 role = (if x.x_readonly then "replica" else "primary");
-                lsn = Pstore.Store.lsn (Database.store x.x_db);
+                lsn =
+                  (match x.x_mode with
+                  | Live db -> Pstore.Store.lsn (Database.store db)
+                  | Pooled { pool; _ } -> Reader_pool.source_lsn pool);
                 stream_id = 0;
                 repl_port = -1;
               }
       in
       reply pong
   | Binary_proto.Ctl { id; verb; arg } -> (
-      match x.x_cluster with
+      match cluster with
       | None -> reply (Binary_proto.Error { id; msg = "no cluster control on this node" })
       | Some c -> (
           match c.c_ctl ~verb ~arg with
@@ -846,26 +902,20 @@ let bin_listener sock : req Event_loop.listener =
     l_timeout = { Event_loop.rsp_data = bin_error "timed out reading frame"; rsp_close = true };
   }
 
-(** Serve [db] on [port] until [max_requests] requests have been
-    handled (None = forever), [stop] is set, or a SIGTERM/SIGINT
-    arrives.
+(** Serve the context held in [cell] on [port] until [max_requests]
+    requests have been handled (None = forever), [stop] is set, or a
+    SIGTERM/SIGINT arrives.  Every request reads the cell afresh, so the
+    caller may swap in a new context while this runs; the caller owns
+    each context's pool and writer, and stops them.  [?cluster] answers
+    the binary protocol's [Ping] and [Ctl] frames for a cluster node.
 
     Graceful shutdown: signals only set a flag; in-flight requests are
     always finished and responded to, then the listen socket is closed,
-    the previous signal dispositions are restored, and [serve] returns
-    so the caller can flush and close the store.  The event loop polls
-    with a short timeout, so a stop request on an idle server is
-    honoured within a fraction of a second.
+    the previous signal dispositions are restored, and [serve_cell]
+    returns so the caller can flush and close the store.  The event
+    loop polls with a short timeout, so a stop request on an idle server
+    is honoured within a fraction of a second.
 
-    Snapshot serving: [?readers] > 0 builds a {!Reader_pool} over [db]
-    (refreshed within [?max_lag_ms]) plus a [Database.Writer] group;
-    [?pool] supplies an external pool instead (the read-only replica
-    path — no writer is started when [readonly]).  Both are stopped
-    before [serve] returns iff they were created here.
-
-    Replication hooks: [?readonly] rejects every non-GET method with
-    403 (a read-only replica serves queries but accepts no writes) and
-    [?repl_status] is exposed verbatim as [GET /repl] (JSON).
     [?ready] is called with the actually bound port (useful with
     [~port:0]) once the socket is listening; [?binary_port] opens a
     second listener speaking {!Binary_proto} and reports its bound
@@ -877,10 +927,9 @@ let bin_listener sock : req Event_loop.listener =
     request, silent close when idle), and connections past [max_conns]
     are answered 503 + [Retry-After] — the event loop's admission
     control — instead of being silently dropped. *)
-let serve ?(host = "127.0.0.1") ?max_requests ?stop ?ready ?(readonly = false)
-    ?repl_status ?(readers = 0) ?(max_lag_ms = 50.) ?pool
+let serve_cell ?(host = "127.0.0.1") ?max_requests ?stop ?ready
     ?(client_timeout = client_timeout_s) ?(max_conns = 1024) ?binary_port ?binary_ready
-    ?cluster ?ctx_cell (db : Database.t) ~port () =
+    ?cluster (cell : ctx Atomic.t) ~port () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> () (* no SIGPIPE on this platform *));
   let stop = match stop with Some r -> r | None -> ref false in
@@ -889,18 +938,8 @@ let serve ?(host = "127.0.0.1") ?max_requests ?stop ?ready ?(readonly = false)
     with Invalid_argument _ | Sys_error _ -> None
   in
   let saved = List.filter_map install [ Sys.sigterm; Sys.sigint ] in
-  let own_pool, pool =
-    match pool with
-    | Some p -> (false, Some p)
-    | None when readers > 0 ->
-        (true, Some (Reader_pool.create ~max_lag_ms ~readers (Reader_pool.primary_source db)))
-    | None -> (false, None)
-  in
-  let writer =
-    match pool with Some _ when not readonly -> Some (Database.Writer.start db) | _ -> None
-  in
   let loop_ref = ref None in
-  let loop_json () =
+  let loop () =
     match !loop_ref with
     | None -> []
     | Some t ->
@@ -918,77 +957,6 @@ let serve ?(host = "127.0.0.1") ?max_requests ?stop ?ready ?(readonly = false)
                 ("open_connections", Int ls.Event_loop.s_open_conns);
               ] );
         ]
-  in
-  (* always present: legacy mode still reports the event loop *)
-  let serving_json =
-    Some
-      (fun () ->
-        let open Pobs.Json in
-        let cnt c = Int (int_of_float (Pobs.Metrics.counter_value c)) in
-        let pool_part =
-          match pool with
-          | None -> []
-          | Some p ->
-              Reader_pool.update_metrics p;
-              let ps = Reader_pool.stats p in
-              let p99 =
-                let v = Pobs.Metrics.hist_quantile m_request_ns 0.99 /. 1e6 in
-                Float (if Float.is_nan v then 0. else v)
-              in
-              [
-                ("readers", Int ps.Reader_pool.p_readers);
-                ("generation_lsn", Int ps.Reader_pool.p_gen_lsn);
-                ("generation_age_ms", Float ps.Reader_pool.p_age_ms);
-                ("refreshes", Int ps.Reader_pool.p_refreshes);
-                ("refresh_errors", Int ps.Reader_pool.p_refresh_errors);
-                ("last_refresh_error", Str ps.Reader_pool.p_last_refresh_error);
-                ("last_generation_build_ms", Float ps.Reader_pool.p_last_build_ms);
-                ("routed_reads", Int ps.Reader_pool.p_routed);
-                ("catchup_waits", Int ps.Reader_pool.p_catchup_waits);
-                ("draining_generations", Int ps.Reader_pool.p_draining);
-                ("fallthroughs", cnt m_fallthrough);
-                ("request_p99_ms", p99);
-              ]
-        in
-        let group =
-          match writer with
-          | None -> []
-          | Some w ->
-              let gs = Database.Writer.stats w in
-              [
-                ( "group",
-                  Obj
-                    [
-                      ("batches", Int gs.Pstore.Store.Group.batches);
-                      ("commits", Int gs.Pstore.Store.Group.commits);
-                      ("aborts", Int gs.Pstore.Store.Group.aborts);
-                      ("queued", Int gs.Pstore.Store.Group.queued);
-                      ("group_writes", cnt m_group_writes);
-                    ] );
-              ]
-        in
-        Obj (pool_part @ group @ loop_json ()))
-  in
-  let ctx =
-    {
-      x_db = db;
-      x_readonly = readonly;
-      x_repl_status = repl_status;
-      x_pool = pool;
-      x_writer = writer;
-      x_serving = serving_json;
-      x_cluster = cluster;
-    }
-  in
-  (* Handlers read the ctx through this cell on every request; a
-     cluster node hands in its own [?ctx_cell] and swaps a new ctx in
-     when its role flips. *)
-  let ctx_cell =
-    match ctx_cell with
-    | Some cell ->
-        Atomic.set cell ctx;
-        cell
-    | None -> Atomic.make ctx
   in
   let bind_sock port =
     let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -1014,26 +982,27 @@ let serve ?(host = "127.0.0.1") ?max_requests ?stop ?ready ?(readonly = false)
   let listeners =
     http_listener sock :: (match bin with Some (b, _) -> [ bin_listener b ] | None -> [])
   in
-  (* Legacy mode executes on exactly one worker thread — the live
-     handle keeps its single-threaded discipline; pool mode sizes the
-     executor to the reader fleet, as handlers block on reader-domain
-     results and group-commit fsyncs. *)
+  let x0 = Atomic.get cell in
+  (* Live mode executes on exactly one worker thread — the live handle
+     keeps its single-threaded discipline; pool mode sizes the executor
+     to the reader fleet, as handlers block on reader-domain results and
+     group-commit fsyncs. *)
   let workers =
-    match pool with Some p -> max 4 (2 * Reader_pool.size p) | None -> 1
+    match x0.x_mode with Pooled { pool; _ } -> max 4 (2 * Reader_pool.size pool) | Live _ -> 1
   in
   let execute = function
-    | RHttp r -> execute_http (Atomic.get ctx_cell) r
-    | RBin f -> execute_bin (Atomic.get ctx_cell) f
+    | RHttp r -> execute_http ~loop (Atomic.get cell) r
+    | RBin f -> execute_bin ~loop ?cluster (Atomic.get cell) f
   in
   let t, worker_threads =
     Event_loop.create ~max_conns ~timeout_s:client_timeout ~workers ~execute listeners
   in
   loop_ref := Some t;
   Printf.printf "prometheus: serving on http://%s:%d/%s%s%s (%s)\n%!" host bound_port
-    (if readonly then " (read-only replica)" else "")
-    (match pool with
-    | Some p -> Printf.sprintf " (snapshot pool: %d readers)" (Reader_pool.size p)
-    | None -> "")
+    (if x0.x_readonly then " (read-only replica)" else "")
+    (match x0.x_mode with
+    | Pooled { pool; _ } -> Printf.sprintf " (snapshot pool: %d readers)" (Reader_pool.size pool)
+    | Live _ -> "")
     (match bin with
     | Some (_, bp) -> Printf.sprintf " (binary protocol on %d)" bp
     | None -> "")
@@ -1047,6 +1016,36 @@ let serve ?(host = "127.0.0.1") ?max_requests ?stop ?ready ?(readonly = false)
   (match bin with Some (b, _) -> Unix.close b | None -> ());
   List.iter
     (fun (signum, prev) -> try Sys.set_signal signum prev with Invalid_argument _ | Sys_error _ -> ())
-    saved;
-  (match writer with Some w -> ( try Database.Writer.stop w with _ -> ()) | None -> ());
-  if own_pool then match pool with Some p -> Reader_pool.stop p | None -> ()
+    saved
+
+(** Serve [db] on [port]: {!serve_cell} over a context built here.
+
+    [?readers] = 0 (the default) serves the live handle; [?readers] > 0
+    builds a {!Reader_pool} over [db] (refreshed within [?max_lag_ms])
+    plus, unless [readonly], a [Database.Writer] group.  Both are
+    stopped before [serve] returns.
+
+    Replication hooks: [?readonly] rejects every non-GET method with
+    403 (a read-only replica serves queries but accepts no writes) and
+    [?repl_status] is exposed verbatim as [GET /repl] (JSON). *)
+let serve ?host ?max_requests ?stop ?ready ?(readonly = false) ?repl_status ?(readers = 0)
+    ?(max_lag_ms = 50.) ?client_timeout ?max_conns ?binary_port ?binary_ready
+    (db : Database.t) ~port () =
+  let mode =
+    if readers > 0 then
+      let pool = Reader_pool.create ~max_lag_ms ~readers (Reader_pool.primary_source db) in
+      Pooled { pool; writer = (if readonly then None else Some (Database.Writer.start db)) }
+    else Live db
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      match mode with
+      | Live _ -> ()
+      | Pooled { pool; writer } ->
+          Option.iter (fun w -> try Database.Writer.stop w with _ -> ()) writer;
+          Reader_pool.stop pool)
+    (fun () ->
+      serve_cell ?host ?max_requests ?stop ?ready ?client_timeout ?max_conns ?binary_port
+        ?binary_ready
+        (Atomic.make { x_mode = mode; x_readonly = readonly; x_repl_status = repl_status })
+        ~port ())

@@ -331,6 +331,10 @@ let lsn t =
   Mutex.unlock t.mu;
   l
 
+(** Latest LSN the pool's source has available (the primary's durable
+    LSN, or a replica's applied LSN) — at or ahead of {!lsn}. *)
+let source_lsn t = t.src.src_lsn ()
+
 (** Result of routing a read through the pool: [Served (v, lsn)] with
     the LSN of the view that served it, or [Behind best] when the
     caller's [min_lsn] could not be satisfied within the bounded

@@ -20,7 +20,10 @@
    - two concurrent elections over the same fleet converge on ONE new
      primary (and an election aborts while a primary is reachable);
    - chained replication: primary -> cascading replica -> downstream
-     replica, all three files byte-identical.
+     replica, all three files byte-identical;
+   - a following node serves every read endpoint from its reader pool
+     with one read-only handle on its file, and keeps its scrub period
+     across a [follow].
 
    Same in-process style as test_serving.ml: every server runs on its
    own thread on an ephemeral port; HTTP clients are raw sockets. *)
@@ -500,6 +503,115 @@ let test_chained_replication () =
         (R.Apply.stream_id sess3.R.apply))
 
 (* ------------------------------------------------------------------ *)
+(* A following node serves from its reader pool alone                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Descriptors this process holds on [path], read from /proc/self/fd. *)
+let fds_on path =
+  let target = Unix.realpath path in
+  Array.fold_left
+    (fun n fd ->
+      match Unix.readlink (Filename.concat "/proc/self/fd" fd) with
+      | link when link = target -> n + 1
+      | _ -> n
+      | exception Unix.Unix_error _ -> n)
+    0 (Sys.readdir "/proc/self/fd")
+
+(* The integer after ["key":] in a flat JSON document. *)
+let json_int body key =
+  let k = Printf.sprintf "\"%s\":" key in
+  match find_sub body k with
+  | None -> Alcotest.failf "no %s in %s" key body
+  | Some i ->
+      let j = i + String.length k in
+      Scanf.sscanf (String.sub body j (String.length body - j)) "%d" Fun.id
+
+let follower_apply (node : Promote.node) =
+  match node.Promote.n_state with
+  | Promote.Following f -> f.f_sess.R.apply
+  | Promote.Leading _ -> Alcotest.fail "node is not following"
+
+(* A follower decodes its file once: the applier and the reader pool's
+   follower source are the only holders of the replica file, and every
+   read endpoint — plus the 404 for an unknown path — is answered
+   without a second, live handle. *)
+let test_follower_serves_from_pool () =
+  let p1 = tmp_path () and p2 = tmp_path () in
+  seed p1;
+  let n1 = Promote.create_leading ~readers:1 ~path:p1 ~host:"127.0.0.1" ~repl_port:0 () in
+  let l1 = start_node ~path:p1 n1 in
+  let n2 = mk_follower ~upstream:(Printf.sprintf "127.0.0.1:%d" (feed_port n1)) p2 in
+  let l2 = start_node ~path:p2 n2 in
+  Fun.protect
+    ~finally:(fun () ->
+      kill_node l2;
+      kill_node l1;
+      List.iter cleanup [ p1; p2 ])
+    (fun () ->
+      Alcotest.(check int) "applier + follower source hold the replica file" 2 (fds_on p2);
+      let tok = lsn_of (post l1.ln_port "/create?class=Taxon&rank=genus") in
+      let tok = match tok with Some t -> t | None -> Alcotest.fail "write not acked" in
+      wait "follower applies the write" (fun () -> R.Apply.last_lsn (follower_apply n2) >= tok);
+      let q = get ~headers:[ ("X-PDB-Min-LSN", string_of_int tok) ] l2.ln_port taxon_query in
+      Alcotest.(check string) "query" "HTTP/1.0 200 OK" (status_of q);
+      Alcotest.(check int) "row visible" 1 (count_sub (body_of q) "genus");
+      let ok target needle =
+        let r = get l2.ln_port target in
+        Alcotest.(check string) target "HTTP/1.0 200 OK" (status_of r);
+        Alcotest.(check bool) (target ^ " body") true (contains (body_of r) needle)
+      in
+      ok "/schema" "class Taxon";
+      ok "/stats" "\"serving\"";
+      ok "/contexts" "";
+      ok "/repl" "\"role\":\"replica\"";
+      Alcotest.(check string) "unknown path" "HTTP/1.0 404 Not Found"
+        (status_of (get l2.ln_port "/nope"));
+      let pool = BP.create ~host:"127.0.0.1" ~port:l2.ln_bport () in
+      Fun.protect
+        ~finally:(fun () -> BP.close pool)
+        (fun () ->
+          Alcotest.(check int) "ping LSN is the applied LSN"
+            (R.Apply.last_lsn (follower_apply n2))
+            (BP.ping pool).Client.p_lsn);
+      Alcotest.(check int) "still one handle after serving" 2 (fds_on p2))
+
+(* The background-scrub period is the node's, not one session's: it
+   runs on the first session and again after [follow] re-points the
+   node at another primary. *)
+let test_scrub_interval_survives_follow () =
+  let p1 = tmp_path () and p2 = tmp_path () and p3 = tmp_path () in
+  seed p1;
+  seed p3;
+  let n1 = Promote.create_leading ~readers:1 ~path:p1 ~host:"127.0.0.1" ~repl_port:0 () in
+  let n3 = Promote.create_leading ~readers:1 ~path:p3 ~host:"127.0.0.1" ~repl_port:0 () in
+  let n2 =
+    match
+      Promote.create_following ~readers:1 ~scrub_every_s:0.05 ~path:p2 ~host:"127.0.0.1"
+        ~repl_port:0
+        ~upstream:(Printf.sprintf "127.0.0.1:%d" (feed_port n1))
+        ()
+    with
+    | Ok n -> n
+    | Error e -> Alcotest.failf "create_following: %s" e
+  in
+  let l2 = start_node ~path:p2 n2 in
+  Fun.protect
+    ~finally:(fun () ->
+      kill_node l2;
+      Promote.shutdown n3;
+      Promote.shutdown n1;
+      List.iter cleanup [ p1; p2; p3 ])
+    (fun () ->
+      let scrubs () = json_int (body_of (get l2.ln_port "/repl")) "scrubs_run" in
+      wait "scrubs on the first session" (fun () -> scrubs () > 0);
+      let upstream = Printf.sprintf "127.0.0.1:%d" (feed_port n3) in
+      (match Promote.follow n2 ~upstream with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "follow: %s" e);
+      Alcotest.(check bool) "re-pointed" true (contains (body_of (get l2.ln_port "/repl")) upstream);
+      wait "scrubs after follow" (fun () -> scrubs () > 0))
+
+(* ------------------------------------------------------------------ *)
 (* The acceptance fault sweep: failover under load                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -765,6 +877,12 @@ let () =
       ( "chain",
         [ Alcotest.test_case "primary->replica->replica" `Quick test_chained_replication ]
       );
+      ( "follower",
+        [
+          Alcotest.test_case "serves from the pool alone" `Quick test_follower_serves_from_pool;
+          Alcotest.test_case "scrub interval survives follow" `Quick
+            test_scrub_interval_survives_follow;
+        ] );
       ( "failover",
         [
           Alcotest.test_case "promotion under load" `Slow test_failover_under_load;
