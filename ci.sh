@@ -128,13 +128,19 @@ check_bench_json "$BENCH_OUT/BENCH_PR10.json" \
 # last line is a JSON verdict that must be correct with zero failed ops.
 # The --trace 1 pass adds the in-process pooled pass (reader-pool
 # generations built by snapshot/snapshot_clone under a running group
-# writer) and checks its answers too.
+# writer) and checks its answers too.  It also requires at least one
+# index probe per query on the backends: the replica serves name
+# lookups from the Name.epithet index declared on the primary and
+# replicated with the schema, and taxon lookups by the oid access path.
 for trace in 0 1; do
   fleet_verdict="$(python3 perfbench/run.py --workload fleet --seed 1 --seconds 3 --trace "$trace" | tail -n 1)"
-  printf '%s\n' "$fleet_verdict" | python3 -c '
-import json, sys
+  printf '%s\n' "$fleet_verdict" | TRACE="$trace" python3 -c '
+import json, os, sys
 r = json.loads(sys.stdin.read())
-sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+ok = r["correct"] is True and r["failed"] == 0
+if os.environ["TRACE"] == "1":
+    ok = ok and r["metrics"]["pool.index_probes_per_query"]["value"] >= 1
+sys.exit(0 if ok else 1)' \
     || fail "perfbench fleet smoke (--trace $trace) failed: $fleet_verdict"
 done
 

@@ -141,8 +141,13 @@ let touch t oid = if t.tx_depth > 0 then Hashtbl.replace t.touched oid ()
 (* Index maintenance                                                       *)
 (* ---------------------------------------------------------------------- *)
 
-let index_covers t ~index_class ~obj_class =
-  Meta.is_subclass t.schema ~sub:obj_class ~super:index_class
+(* Does the deep extent of [cls] hold the objects of class [c]?  Object
+   and relationship classes have separate extents (an [Object] extent
+   holds no relationship instance), and an index covers exactly its
+   class's extent. *)
+let extent_covers t ~cls c =
+  (if Meta.is_rel t.schema cls then Meta.is_rel t.schema c else Meta.is_class t.schema c)
+  && Meta.is_subclass t.schema ~sub:c ~super:cls
 
 let map_add table key oid =
   ValueMap.update key
@@ -163,10 +168,32 @@ let index_each t (o : Obj.t) f =
   Hashtbl.filter_map_inplace
     (fun (cls, attr) table ->
       Some
-        (if index_covers t ~index_class:cls ~obj_class:o.Obj.class_name then
+        (if extent_covers t ~cls o.Obj.class_name then
            f table (Obj.get o attr) o.Obj.oid
          else table))
     t.indexes
+
+(* A table for index [(cls, attr)] over the mirror's extents. *)
+let build_index t cls attr =
+  Hashtbl.fold
+    (fun c oids table ->
+      if extent_covers t ~cls c then
+        OidSet.fold (fun oid table -> map_add table (Obj.get (Hashtbl.find t.objects oid) attr) oid) oids table
+      else table)
+    t.extents ValueMap.empty
+
+(* Make the index tables match the schema's declarations: build the
+   newly declared ones from the mirror, drop the undeclared ones.  Every
+   path that changes the declarations ends here — DDL, open, rollback
+   and a follower's {!advance} — so a handle's indexes are always the
+   ones its schema record declares. *)
+let reconcile_indexes t =
+  let decls = Meta.index_decls t.schema in
+  let stale = Hashtbl.fold (fun k _ acc -> if List.mem k decls then acc else k :: acc) t.indexes [] in
+  let fresh = List.filter (fun k -> not (Hashtbl.mem t.indexes k)) decls in
+  List.iter (Hashtbl.remove t.indexes) stale;
+  List.iter (fun (cls, attr) -> Hashtbl.replace t.indexes (cls, attr) (build_index t cls attr)) fresh;
+  if stale <> [] || fresh <> [] then t.index_epoch <- t.index_epoch + 1
 
 (* ---------------------------------------------------------------------- *)
 (* Mirror (re)construction                                                 *)
@@ -179,14 +206,18 @@ let syn_union t (o : Obj.t) =
   let ra = root a and rb = root b in
   if ra <> rb then Hashtbl.replace t.syn_parent (max ra rb) (min ra rb)
 
-let mirror_insert t (o : Obj.t) =
+(* Everything but the indexes. *)
+let mirror_add t (o : Obj.t) =
   Hashtbl.replace t.objects o.Obj.oid o;
   add_to t.extents o.Obj.class_name o.Obj.oid;
   if is_rel_instance t o then begin
     add_to t.out_rels (Obj.origin o) o.Obj.oid;
     add_to t.in_rels (Obj.destination o) o.Obj.oid
   end;
-  if o.Obj.class_name = synonym_class then syn_union t o;
+  if o.Obj.class_name = synonym_class then syn_union t o
+
+let mirror_insert t (o : Obj.t) =
+  mirror_add t o;
   index_each t o map_add
 
 let mirror_remove t (o : Obj.t) =
@@ -211,8 +242,9 @@ let mirror_replace t (old_o : Obj.t) (o : Obj.t) =
   mirror_insert t o
 
 (* Full decode of the store into the mirror: at open, and after a
-   rollback.  Read-only handles also record the directory for
-   {!advance}. *)
+   rollback.  The indexes are built last, each from its extents, which
+   is cheaper than maintaining them per decoded object.  Read-only
+   handles also record the directory for {!advance}. *)
 let rebuild_mirror t =
   Hashtbl.reset t.objects;
   Hashtbl.reset t.extents;
@@ -220,11 +252,12 @@ let rebuild_mirror t =
   Hashtbl.reset t.in_rels;
   Hashtbl.reset t.syn_parent;
   Hashtbl.reset t.rids;
-  Hashtbl.filter_map_inplace (fun _ _ -> Some ValueMap.empty) t.indexes;
   let ro = Store.is_readonly t.store in
   Store.directory t.store (fun oid rid ->
       if ro then Hashtbl.replace t.rids oid rid;
-      if oid <> schema_oid then mirror_insert t (Obj.decode ~oid (Store.record t.store rid)))
+      if oid <> schema_oid then mirror_add t (Obj.decode ~oid (Store.record t.store rid)));
+  Hashtbl.filter_map_inplace (fun (cls, attr) _ -> Some (build_index t cls attr)) t.indexes;
+  reconcile_indexes t
 
 (* ---------------------------------------------------------------------- *)
 (* Lifecycle                                                               *)
@@ -292,7 +325,11 @@ let open_ ?cache_pages ?config ?vfs ?readonly path : t =
      commit boundary is released. *)
   if not ro then begin
     if stored <> Some (Meta.encode schema) then persist_schema t;
-    Store.set_rollback_hook store (fun () -> rebuild_mirror t)
+    (* a rollback also takes back the index declarations of the
+       rolled-back body: re-read them from the restored schema record *)
+    Store.set_rollback_hook store (fun () ->
+        Option.iter (Meta.decode_into schema) (Store.get store ~oid:schema_oid);
+        rebuild_mirror t)
   end;
   rebuild_mirror t;
   t
@@ -391,9 +428,13 @@ let advance t ~(pages : int list) =
           Hashtbl.replace t.rids oid rid;
           let data = Store.record t.store rid in
           if oid = schema_oid then begin
-            (* the schema only grows: decoding over it equals a fresh
-               decode; oid order puts it ahead of the objects using it *)
+            (* classes only grow and the index declarations are
+               replaced, so decoding over the schema equals a fresh
+               decode; oid order puts it ahead of the objects using it,
+               so a newly declared index is built from the mirror as it
+               stands and the records decoded after it update it *)
             Meta.decode_into t.schema data;
+            reconcile_indexes t;
             t.index_epoch <- t.index_epoch + 1
           end
           else
@@ -826,6 +867,11 @@ let extent t ?(deep = true) class_name : OidSet.t =
     List.fold_left (fun acc c -> OidSet.union acc (set_of t.extents c)) OidSet.empty classes
   else set_of t.extents class_name
 
+(** Is [oid] in the (deep) {!extent} of [class_name]?  One class test
+    instead of a union of subclass extents. *)
+let in_extent t class_name oid =
+  match get t oid with Some o -> extent_covers t ~cls:class_name o.Obj.class_name | None -> false
+
 let extent_list t ?deep class_name = OidSet.elements (extent t ?deep class_name)
 let count t ?deep class_name = OidSet.cardinal (extent t ?deep class_name)
 
@@ -919,21 +965,24 @@ let synonym_set t a : OidSet.t =
 (* Secondary indexes (index layer, thesis 6.1.4)                           *)
 (* ---------------------------------------------------------------------- *)
 
+(** Declare an index on [(class_name, attr)] and build it.  The
+    declaration is part of the schema record, persisted like a class
+    definition: it survives reopen, replicates to followers, and a
+    rolled-back transaction takes it back. *)
 let create_index t class_name attr =
-  let key = (class_name, attr) in
-  if not (Hashtbl.mem t.indexes key) then begin
-    let table = ref ValueMap.empty in
-    iter_objects t (fun o ->
-        if index_covers t ~index_class:class_name ~obj_class:o.Obj.class_name then
-          table := map_add !table (Obj.get o attr) o.Obj.oid);
-    Hashtbl.replace t.indexes key !table;
-    t.index_epoch <- t.index_epoch + 1
+  check_writable t;
+  if not (Hashtbl.mem t.indexes (class_name, attr)) then begin
+    Meta.declare_index t.schema ~cls:class_name ~attr;
+    persist_schema t;
+    reconcile_indexes t
   end
 
 let drop_index t class_name attr =
+  check_writable t;
   if Hashtbl.mem t.indexes (class_name, attr) then begin
-    Hashtbl.remove t.indexes (class_name, attr);
-    t.index_epoch <- t.index_epoch + 1
+    Meta.undeclare_index t.schema ~cls:class_name ~attr;
+    persist_schema t;
+    reconcile_indexes t
   end
 
 let has_index t class_name attr = Hashtbl.mem t.indexes (class_name, attr)

@@ -122,6 +122,10 @@ let rel ?(supers = []) ?(kind = Association) ?(card_out = many) ?(card_in = many
 type t = {
   classes : (string, class_def) Hashtbl.t;
   rels : (string, rel_def) Hashtbl.t;
+  (* declared secondary indexes (class, attribute) (thesis 6.1.4): part
+     of the persisted schema, so every handle on the file — reopened,
+     rolled back or following a primary — builds the same indexes *)
+  index_decls : (string * string, unit) Hashtbl.t;
 }
 
 let object_class = "Object"
@@ -140,13 +144,14 @@ let builtin_classes =
   ]
 
 let empty () =
-  let t = { classes = Hashtbl.create 64; rels = Hashtbl.create 64 } in
+  let t = { classes = Hashtbl.create 64; rels = Hashtbl.create 64; index_decls = Hashtbl.create 8 } in
   List.iter (fun c -> Hashtbl.replace t.classes c.class_name c) builtin_classes;
   t
 
 (** An independent schema with the same definitions (the definitions
     themselves are immutable and shared). *)
-let copy t = { classes = Hashtbl.copy t.classes; rels = Hashtbl.copy t.rels }
+let copy t =
+  { classes = Hashtbl.copy t.classes; rels = Hashtbl.copy t.rels; index_decls = Hashtbl.copy t.index_decls }
 
 let find_class t name = Hashtbl.find_opt t.classes name
 let find_rel t name = Hashtbl.find_opt t.rels name
@@ -283,6 +288,19 @@ let define_rel t ?supers ?kind ?card_out ?card_in ?exclusive ?sharable ?lifetime
   r
 
 (* ---------------------------------------------------------------------- *)
+(* Index declarations                                                      *)
+(* ---------------------------------------------------------------------- *)
+
+let declare_index t ~cls ~attr =
+  if not (is_class t cls || is_rel t cls) then fail "index on unknown class %s" cls;
+  Hashtbl.replace t.index_decls (cls, attr) ()
+
+let undeclare_index t ~cls ~attr = Hashtbl.remove t.index_decls (cls, attr)
+
+(** Declared indexes, sorted. *)
+let index_decls t = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) t.index_decls [])
+
+(* ---------------------------------------------------------------------- *)
 (* Serialisation (the schema itself is stored in the database)             *)
 (* ---------------------------------------------------------------------- *)
 
@@ -351,8 +369,22 @@ let encode t : string =
       Codec.Enc.u16 e (List.length r.rel_attrs);
       List.iter (encode_attr e) r.rel_attrs)
     rels;
+  (* trailing section, written only when non-empty: a schema without
+     index declarations encodes exactly as it did before they existed *)
+  (match index_decls t with
+  | [] -> ()
+  | decls ->
+      Codec.Enc.u32 e (List.length decls);
+      List.iter
+        (fun (cls, attr) ->
+          Codec.Enc.string e cls;
+          Codec.Enc.string e attr)
+        decls);
   Codec.Enc.to_string e
 
+(** Decode a stored schema record over [t].  Definitions are added (the
+    class and relationship sets only grow); the index declarations are
+    replaced by the record's, none when it has no trailing section. *)
 let decode_into t (s : string) =
   let d = Codec.Dec.of_string s in
   let nclasses = Codec.Dec.u32 d in
@@ -410,4 +442,11 @@ let decode_into t (s : string) =
         inherited_attrs;
         rel_attrs;
       }
-  done
+  done;
+  Hashtbl.reset t.index_decls;
+  if not (Codec.Dec.eof d) then
+    for _ = 1 to Codec.Dec.u32 d do
+      let cls = Codec.Dec.string d in
+      let attr = Codec.Dec.string d in
+      Hashtbl.replace t.index_decls (cls, attr) ()
+    done

@@ -665,6 +665,9 @@ and oidset_of_access st (a : Plan.access) : OidSet.t =
           bump_range ();
           s
       | None -> fallback cls)
+  | Plan.Oid { cls; oid } ->
+      bump_probe ();
+      if Database.in_extent st.db cls oid then OidSet.singleton oid else OidSet.empty
   | Plan.Src _ -> assert false (* handled by the caller *)
 
 and prepare st (b : Plan.binding) : string * exec =

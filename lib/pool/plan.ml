@@ -11,8 +11,10 @@
     how they are ordered, only how many candidates are inspected.
 
     Access paths recognised from top-level WHERE conjuncts over an
-    unshadowed class-extent range [Var cls]:
+    unshadowed class- or relationship-extent range [Var cls]:
 
+    - [oid(var) = int]              -> {!constructor:Oid} (the object itself,
+                                       when it is in the extent; no index)
     - [var.attr = lit]              -> {!constructor:Probe} (equality index)
     - [var.attr </<=/>/>= lit]      -> {!constructor:Range} (ordered index walk;
                                        conjuncts on the same attr combine)
@@ -26,10 +28,11 @@
     over the range's candidates keyed on [attr] (once), then probing
     with [e] per outer row — replacing the nested extent rescans.
 
-    Plans contain no oids or values read from the data, only schema
-    facts (which indexes exist, which names denote class extents), so a
-    cached plan stays valid until {!Pmodel.Database.index_epoch} moves
-    — bumped by index DDL and by class/relationship definition. *)
+    Plans contain no values read from the data — their oids come only
+    from the query text — and otherwise only schema facts (which indexes
+    exist, which names denote class extents), so a cached plan stays
+    valid until {!Pmodel.Database.index_epoch} moves — bumped by index
+    DDL and by class/relationship definition. *)
 
 open Pmodel
 module SSet = Set.Make (String)
@@ -44,6 +47,7 @@ type access =
       hi : (Value.t * bool) option;
     }
   | Prefix of { cls : string; attr : string; prefix : string }
+  | Oid of { cls : string; oid : int } (* the one object [oid], if in the extent *)
   | Src of Ast.expr (* arbitrary source expression, evaluated per outer row *)
 
 type binding = {
@@ -111,6 +115,7 @@ type fact =
   | Lo of string * (Value.t * bool)
   | Hi of string * (Value.t * bool)
   | Like of string * string (* attr, literal prefix *)
+  | Oid_eq of int
 
 let fact_of var (c : Ast.expr) : fact option =
   (* operators whose argument order can be inverted; [like] is NOT one:
@@ -132,8 +137,12 @@ let fact_of var (c : Ast.expr) : fact option =
     | Ast.Binop (op, Ast.Path (Ast.Var x, attr), Ast.Lit v) -> Some (op, x, attr, v)
     | _ -> None
   in
-  match norm with
-  | Some (op, x, attr, v) when x = var -> (
+  match (c, norm) with
+  | Ast.Binop ("=", Ast.Call ("oid", [ Ast.Var x ]), Ast.Lit (Value.VInt n)), _
+  | Ast.Binop ("=", Ast.Lit (Value.VInt n), Ast.Call ("oid", [ Ast.Var x ])), _
+    when x = var ->
+      Some (Oid_eq n)
+  | _, Some (op, x, attr, v) when x = var -> (
       match op with
       | "=" -> Some (Eq (attr, v))
       | "<" -> Some (Hi (attr, (v, false)))
@@ -152,15 +161,18 @@ let fact_of var (c : Ast.expr) : fact option =
 (* --- compilation -------------------------------------------------------- *)
 
 (** Pick the access path for range [(cls, var)] from the WHERE
-    conjuncts.  Preference: equality probe, then LIKE prefix, then
-    range — all conditional on an index existing. *)
+    conjuncts.  Preference: oid equality, then equality probe, then LIKE
+    prefix, then range — all but the first conditional on an index
+    existing. *)
 let access_for db cls var (cs : Ast.expr list) : access =
   let facts = List.filter_map (fact_of var) cs in
   let indexed attr = Database.has_index db cls attr in
+  let by_oid = List.find_map (function Oid_eq n -> Some n | _ -> None) facts in
   let probe = List.find_map (function Eq (a, v) when indexed a -> Some (a, v) | _ -> None) facts in
-  match probe with
-  | Some (attr, value) -> Probe { cls; attr; value }
-  | None -> (
+  match (by_oid, probe) with
+  | Some oid, _ -> Oid { cls; oid }
+  | None, Some (attr, value) -> Probe { cls; attr; value }
+  | None, None -> (
       let prefix =
         List.find_map (function Like (a, p) when indexed a -> Some (a, p) | _ -> None) facts
       in
@@ -268,6 +280,7 @@ let describe_access = function
         (match lo with Some _ -> " lo" | None -> "")
         (match hi with Some _ -> " hi" | None -> "")
   | Prefix { cls; attr; prefix } -> Printf.sprintf "prefix(%s.%s,%S)" cls attr prefix
+  | Oid { cls; _ } -> Printf.sprintf "oid(%s)" cls
   | Src _ -> "expr"
 
 let describe (t : t) : string =

@@ -39,7 +39,8 @@ let type_kinds = [ "holotype"; "lectotype"; "neotype"; "isotype"; "syntype" ]
     syntype cannot, thesis 2.1.2). *)
 let naming_type_kinds = [ "holotype"; "lectotype"; "neotype" ]
 
-(** Install the taxonomic schema into a database (idempotent). *)
+(** Install the taxonomic schema and its name-resolution indexes
+    ([Name.epithet], [Context.name]) into a database (idempotent). *)
 let install (db : Database.t) : unit =
   let schema = Database.schema db in
   if not (Meta.is_class schema taxon) then begin
@@ -90,7 +91,13 @@ let install (db : Database.t) : unit =
     ignore
       (Database.define_rel db has_working_name ~origin:taxon ~destination:working_name
          ~kind:Meta.Aggregation ~lifetime_dep:true ~sharable:false)
-  end
+  end;
+  (* the name-resolution keys: a name is found by its epithet and a
+     classification by its context name, the taxonomy's typical point
+     reads (thesis 6.1.4); outside the guard so a store installed before
+     the declarations existed gains them too *)
+  Database.create_index db name "epithet";
+  Database.create_index db "Context" "name"
 
 let rank_of db oid : Rank.t option =
   match Database.get_attr db oid "rank" with

@@ -101,6 +101,16 @@ let test_prefix_pushdown () =
   let r = check_both db "select p.name from Person p where p.name like 'c%l'" in
   Alcotest.check value_testable "prefix+suffix rows" (V.VList [ str "carol" ]) r
 
+let test_index_covers_extent () =
+  (* An index on [Object] covers the [Object] extent, which holds no
+     relationship instance: a range scan over it must not hand the
+     WHERE clause rows the extent scan never sees. *)
+  with_db @@ fun db ->
+  let alice, _, _, _, acme, _ = setup db in
+  Database.create_index db "Object" "name";
+  let r = check_both db "select oid(o) from Object o where o.name < 'b'" in
+  Alcotest.check value_testable "named objects only" (V.VList [ vint alice; vint acme ]) r
+
 let test_index_range_unit () =
   with_db @@ fun db ->
   let _ = setup db in
@@ -430,13 +440,21 @@ let test_like_eval_equiv =
 
 (* --- randomized plan-vs-legacy equivalence ----------------------------- *)
 
+(* Oids 0..20 span every kind of target for [oid(v) = N]: no object
+   (0, 1 = the schema record, 15..20), a person, the employee (a
+   [Person] subclass instance), a company (another class) and the
+   relationship instances. *)
 let query_gen =
   let open QCheck.Gen in
   let name_lit = oneofl [ "'alice'"; "'bob'"; "'a%'"; "'%o%'"; "'x'" ] in
   let age_lit = map string_of_int (int_range 0 60) in
+  let oid_lit = int_range 0 20 in
   let pred =
     oneof
       [
+        map (Printf.sprintf "oid(p) = %d") oid_lit;
+        map (Printf.sprintf "%d = oid(p)") oid_lit;
+        map (Printf.sprintf "oid(q) = %d") oid_lit;
         map (fun v -> Printf.sprintf "p.age > %s" v) age_lit;
         map (fun v -> Printf.sprintf "p.age <= %s" v) age_lit;
         map (fun v -> Printf.sprintf "p.age = %s" v) age_lit;
@@ -452,18 +470,36 @@ let query_gen =
   let preds = list_size (int_range 1 3) pred in
   let order = oneofl [ ""; " order by p.name"; " order by p.age desc, p.name" ] in
   let distinct = oneofl [ ""; "distinct " ] in
-  map3
-    (fun ps ob d ->
-      Printf.sprintf "select %sp.name, q.age from Person p, Person q where %s%s" d
-        (String.concat " and " ps) ob)
-    preds order distinct
+  let people =
+    map3
+      (fun ps ob d ->
+        Printf.sprintf "select %sp.name, q.age from Person p, Person q where %s%s" d
+          (String.concat " and " ps) ob)
+      preds order distinct
+  in
+  oneof
+    [
+      people;
+      people;
+      (* a relationship-class extent *)
+      map2
+        (fun n rev ->
+          Printf.sprintf "select w.salary from WorksFor w where %s and w.salary > 40"
+            (if rev then Printf.sprintf "%d = oid(w)" n else Printf.sprintf "oid(w) = %d" n))
+        oid_lit bool;
+      (* a shadowed range variable: the conjunct constrains the later
+         [p] (a person), never the company range it shadows *)
+      map (Printf.sprintf "select p.name from Company p, Person p where oid(p) = %d") oid_lit;
+    ]
 
 let test_plan_vs_legacy =
-  QCheck.Test.make ~name:"planned results = legacy results" ~count:60
+  QCheck.Test.make ~name:"planned results = legacy results" ~count:100
     (QCheck.make ~print:(fun q -> q) query_gen)
     (fun q ->
       with_db @@ fun db ->
       let _ = setup db in
+      ignore (Database.define_class db "Employee" ~supers:[ "Person" ] []);
+      ignore (Database.create db "Employee" [ ("name", str "erin"); ("age", vint 35) ]);
       Database.create_index db "Person" "age";
       Database.create_index db "Person" "name";
       let optimized = P.query db q in
@@ -472,6 +508,122 @@ let test_plan_vs_legacy =
         QCheck.Test.fail_reportf "query %s diverged:@.opt: %a@.leg: %a" q Value.pp optimized
           Value.pp legacy;
       true)
+
+let test_oid_explain () =
+  with_db @@ fun db ->
+  let alice, _, _, _, acme, _ = setup db in
+  let plan q = P.explain db q in
+  Alcotest.(check string) "oid probe" "p<-oid(Person)"
+    (plan (Printf.sprintf "select p from Person p where oid(p) = %d" alice));
+  Alcotest.(check string) "reversed operands" "p<-oid(Person)"
+    (plan (Printf.sprintf "select p from Person p where p.age > 3 and %d = oid(p)" alice));
+  Alcotest.(check string) "relationship extent" "w<-oid(WorksFor)"
+    (plan "select w from WorksFor w where oid(w) = 9");
+  Alcotest.(check string) "shadowed range keeps its extent" "p<-extent(Company); p<-oid(Person)"
+    (plan "select p from Company p, Person p where oid(p) = 2");
+  Alcotest.(check string) "non-literal operand is not an oid path" "p<-extent(Person)"
+    (plan "select p from Person p where oid(p) = 1 + 1");
+  let r = check_both db (Printf.sprintf "select p.name from Person p where oid(p) = %d" alice) in
+  Alcotest.check value_testable "the object itself" (V.VList [ str "alice" ]) r;
+  let r = check_both db (Printf.sprintf "select p.name from Person p where oid(p) = %d" acme) in
+  Alcotest.check value_testable "another class's oid" (V.VList []) r;
+  ignore (Database.define_class db "Employee" ~supers:[ "Person" ] []);
+  let erin = Database.create db "Employee" [ ("name", str "erin") ] in
+  let r = check_both db (Printf.sprintf "select p.name from Person p where oid(p) = %d" erin) in
+  Alcotest.check value_testable "a subclass instance" (V.VList [ str "erin" ]) r;
+  let _, how = P.query_explain db (Printf.sprintf "select p from Person p where oid(p) = %d" alice) in
+  Alcotest.(check bool) "counted as an index probe" true (how = `Index_probe)
+
+(* --- durable index declarations ---------------------------------------- *)
+
+let with_path f =
+  let path = tmp_path () in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ path; path ^ ".journal" ])
+    (fun () -> f path)
+
+let by_name = "select p.name from Person p where p.name = 'bob'"
+
+(* the same predicate outside a top-level conjunct: always an extent scan *)
+let by_name_scan = "select p.name from Person p where p.name = 'bob' or false"
+
+let test_index_survives_reopen () =
+  with_path @@ fun path ->
+  let db = Database.open_ path in
+  let _ = setup db in
+  Database.create_index db "Person" "name";
+  Database.close db;
+  let db = Database.open_ path in
+  Alcotest.(check bool) "declared after reopen" true (Database.has_index db "Person" "name");
+  Alcotest.(check (list (pair string string))) "schema declarations" [ ("Person", "name") ]
+    (Meta.index_decls (Database.schema db));
+  let v, how = P.query_explain db by_name in
+  Alcotest.(check bool) "probe taken" true (how = `Index_probe);
+  let _, scan = P.query_explain db by_name_scan in
+  Alcotest.(check bool) "reference scans" true (scan = `Extent_scan);
+  Alcotest.check value_testable "probe = extent scan" (P.query db by_name_scan) v;
+  Alcotest.check value_testable "found" (V.VList [ str "bob" ]) v;
+  Database.close db
+
+let test_index_rollback () =
+  with_path @@ fun path ->
+  let db = Database.open_ path in
+  let _ = setup db in
+  (match
+     Database.with_tx db (fun () ->
+         Database.create_index db "Person" "name";
+         Alcotest.(check bool) "visible inside the transaction" true
+           (Database.has_index db "Person" "name");
+         failwith "veto")
+   with
+  | () -> Alcotest.fail "transaction should have raised"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "gone after rollback" false (Database.has_index db "Person" "name");
+  Alcotest.(check (list (pair string string))) "no declaration" []
+    (Meta.index_decls (Database.schema db));
+  let _, how = P.query_explain db by_name in
+  Alcotest.(check bool) "no probe" true (how = `Extent_scan);
+  Database.close db;
+  let db = Database.open_ path in
+  Alcotest.(check bool) "gone after reopen" false (Database.has_index db "Person" "name");
+  Database.close db
+
+let test_drop_index_persists () =
+  with_path @@ fun path ->
+  let db = Database.open_ path in
+  let _ = setup db in
+  Database.create_index db "Person" "name";
+  Database.create_index db "Person" "age";
+  Database.close db;
+  let db = Database.open_ path in
+  Database.drop_index db "Person" "name";
+  Database.close db;
+  let db = Database.open_ path in
+  Alcotest.(check bool) "dropped index stays dropped" false (Database.has_index db "Person" "name");
+  Alcotest.(check bool) "the other survives" true (Database.has_index db "Person" "age");
+  Alcotest.check value_testable "answers unchanged" (P.query db by_name_scan) (P.query db by_name);
+  Database.close db
+
+let test_schema_record_without_declarations () =
+  let s = Meta.empty () in
+  ignore (Meta.define_class s "Person" [ Meta.attr "name" V.TString ]);
+  let plain = Meta.encode s in
+  Meta.declare_index s ~cls:"Person" ~attr:"name";
+  let declared = Meta.encode s in
+  Alcotest.(check bool) "declarations are a trailing section" true
+    (String.length declared > String.length plain
+    && String.sub declared 0 (String.length plain) = plain);
+  (* a record from before declarations existed: decoding it over a
+     schema that has one leaves none *)
+  Meta.decode_into s plain;
+  Alcotest.(check (list (pair string string))) "no section, no declarations" []
+    (Meta.index_decls s);
+  Alcotest.(check bool) "classes decoded" true (Meta.is_class s "Person");
+  let fresh = Meta.empty () in
+  Meta.decode_into fresh declared;
+  Alcotest.(check (list (pair string string))) "section decoded" [ ("Person", "name") ]
+    (Meta.index_decls fresh)
 
 (* --- POOL-level graph builtins under both engines ---------------------- *)
 
@@ -495,6 +647,7 @@ let () =
           Alcotest.test_case "between" `Quick test_between;
           Alcotest.test_case "like prefix" `Quick test_prefix_pushdown;
           Alcotest.test_case "index_range unit" `Quick test_index_range_unit;
+          Alcotest.test_case "index covers its extent" `Quick test_index_covers_extent;
           Alcotest.test_case "reversed like" `Quick test_reversed_like;
           Alcotest.test_case "prefix null error semantics" `Quick
             test_prefix_null_error_semantics;
@@ -525,5 +678,14 @@ let () =
         [
           QCheck_alcotest.to_alcotest test_plan_vs_legacy;
           Alcotest.test_case "graph builtins" `Quick test_pool_graph_builtins;
+          Alcotest.test_case "oid access path" `Quick test_oid_explain;
+        ] );
+      ( "index decls",
+        [
+          Alcotest.test_case "survive reopen" `Quick test_index_survives_reopen;
+          Alcotest.test_case "rolled back with the transaction" `Quick test_index_rollback;
+          Alcotest.test_case "drop persists" `Quick test_drop_index_persists;
+          Alcotest.test_case "record without declarations" `Quick
+            test_schema_record_without_declarations;
         ] );
     ]

@@ -586,6 +586,20 @@ let dump (db : D.t) =
     @ List.map (fun (r : Meta.rel_def) -> r.Meta.rel_name) rels
   in
   let extents = List.map (fun n -> (n, D.extent_list db ~deep:false n)) names in
+  (* each declared index: all its oids, and the answer to a probe with
+     every value the extent holds plus every int the test writes *)
+  let indexes =
+    List.map
+      (fun (cls, attr) ->
+        let keys =
+          List.map (fun oid -> Pmodel.Obj.get (D.get_exn db oid) attr) (D.extent_list db cls)
+          @ List.init 100 (fun i -> Value.VInt i)
+        in
+        ( (cls, attr),
+          Option.map D.OidSet.elements (D.index_range db cls attr ()),
+          List.map (fun v -> Option.map D.OidSet.elements (D.index_lookup db cls attr v)) keys ))
+      (Meta.index_decls schema)
+  in
   let adjacency =
     List.map
       (fun (oid, _, _) ->
@@ -593,12 +607,13 @@ let dump (db : D.t) =
           D.OidSet.elements (D.synonym_set db oid) ))
       objs
   in
-  (objs, classes, rels, extents, adjacency)
+  (objs, classes, rels, extents, indexes, adjacency)
 
 (* A seeded mix of creates, updates (blob-sized too), deletes, links,
-   relinks, unlinks and synonyms on the primary, a schema change and a
-   re-bootstrap part-way; after every applied record the follower
-   source's view must equal a fresh read-only open of the replica. *)
+   relinks, unlinks and synonyms on the primary, a schema change, index
+   declarations and a drop, and a re-bootstrap part-way; after every
+   applied record the follower source's view must equal a fresh
+   read-only open of the replica. *)
 let test_follower_equivalence () =
   let fs = F.create ~seed:(seed + 11) () in
   let vfs = F.vfs fs in
@@ -649,8 +664,15 @@ let test_follower_equivalence () =
     | l -> Some (List.nth l (Random.State.int rng (List.length l)))
   in
   let steps = if long_mode then 120 else 40 in
+  let declared = ref false in
   for step = 1 to steps do
-    if step = steps / 3 then
+    if step = steps / 4 || step = steps / 2 then
+      (* declared after the bootstrap: reaches the follower by advance *)
+      D.with_tx db (fun () ->
+          D.create_index db "Item" (if step = steps / 4 then "n" else "text");
+          create "Item")
+    else if step = (3 * steps / 4) + 1 then D.with_tx db (fun () -> D.drop_index db "Item" "text")
+    else if step = steps / 3 then
       D.with_tx db (fun () ->
           ignore (D.define_class db ~supers:[ "Item" ] "Extra" [ Meta.attr "tag" Value.TString ]);
           create "Extra")
@@ -692,8 +714,16 @@ let test_follower_equivalence () =
       let r = Queue.pop records in
       ignore (R.Apply.apply_delta ap ~lsn:r.P.lsn ~pages:r.P.pages);
       check (Printf.sprintf "step %d lsn %d" step r.P.lsn)
-    done
+    done;
+    if step = steps / 4 then begin
+      let views, _ = src.Pserver.Reader_pool.src_build 1 in
+      declared := D.has_index views.(0) "Item" "n"
+    end
   done;
+  Alcotest.(check bool) "a declaration reached the follower by advance" true !declared;
+  let views, _ = src.Pserver.Reader_pool.src_build 1 in
+  Alcotest.(check (list (pair string string))) "follower declarations at the end"
+    [ ("Item", "n") ] (Meta.index_decls (D.schema views.(0)));
   Alcotest.(check bool) "checked after many records" true (!checks > steps / 2);
   src.Pserver.Reader_pool.src_close ();
   R.Apply.close ap;

@@ -381,6 +381,50 @@ let test_flora_generator_scale () =
       let assignments = Derivation.derive db ~ctx:flora.Flora_gen.ctx ~root () in
       Alcotest.(check bool) "derivation covers the tree" true (List.length assignments >= 13))
 
+(* Reference answers for name and context lookups come from the legacy
+   interpreter, whose first-range equality probe uses the declared
+   name-resolution indexes.  Every such answer must equal the one after
+   the indexes are dropped, so a reference never rests on an index
+   alone. *)
+let test_lookups_independent_of_indexes () =
+  with_db (fun db ->
+      let params =
+        { Flora_gen.families = 2; genera_per_family = 3; species_per_genus = 4; specimens_per_species = 2; seed = 5 }
+      in
+      let flora = Flora_gen.generate db ~params () in
+      ignore (Classify.start_revision db ~from_ctx:flora.Flora_gen.ctx "revision");
+      Alcotest.(check bool) "epithet index declared" true (Database.has_index db S.name "epithet");
+      Alcotest.(check bool) "context-name index declared" true (Database.has_index db "Context" "name");
+      let legacy = Pool_lang.Pool.legacy_config in
+      let queries =
+        List.map
+          (fun oid ->
+            Printf.sprintf "select oid(n) from Name n where n.epithet = '%s'"
+              (V.as_string (Database.get_attr db oid "epithet")))
+          (Database.extent_list db S.name)
+        @ List.map
+            (fun (_, name) -> Printf.sprintf "select c from Context c where c.name = '%s'" name)
+            (Database.contexts db)
+        @ [ "select n from Name n where n.epithet = 'no such epithet'" ]
+      in
+      let indexed =
+        List.map
+          (fun q ->
+            let v, how = Pool_lang.Pool.query_explain ~config:legacy db q in
+            Alcotest.(check bool) ("index probe on " ^ q) true (how = `Index_probe);
+            v)
+          queries
+      in
+      Database.drop_index db S.name "epithet";
+      Database.drop_index db "Context" "name";
+      List.iter2
+        (fun q v ->
+          let scanned, how = Pool_lang.Pool.query_explain ~config:legacy db q in
+          Alcotest.(check bool) ("extent scan on " ^ q) true (how = `Extent_scan);
+          if V.compare_value v scanned <> 0 then
+            Alcotest.failf "%s: %a with the index, %a without" q V.pp v V.pp scanned)
+        queries indexed)
+
 (* --- ICBN rules -------------------------------------------------------------------- *)
 
 let with_rules f =
@@ -652,6 +696,8 @@ let () =
           Alcotest.test_case "homotypic synonyms" `Quick test_homotypic_synonyms;
           Alcotest.test_case "revision workflow" `Quick test_revision_workflow;
           Alcotest.test_case "flora generator" `Quick test_flora_generator_scale;
+          Alcotest.test_case "lookups independent of indexes" `Quick
+            test_lookups_independent_of_indexes;
         ] );
       ( "historical",
         [
